@@ -1,14 +1,20 @@
 """Bitset helpers: subsets of [0, limit] packed into a single Python int.
 
 Bit x of a bitset is set iff x belongs to the subset.  All the heavy
-arithmetic of the package (membership tables, the order filtration) runs on
-these, because shifting an int by a generator and OR-ing is a whole-window
-operation at C speed.
+arithmetic of the package (membership tables, the Apery set, the order
+filtration) runs on these, because shifting an int by a generator and
+AND/OR-ing is a whole-window operation at C speed.
+
+Never test one bit per loop step: ``(bits >> x) & 1`` copies the whole
+window, so a loop over x costs O(window^2).  Intersect, count and read sets
+out whole; ``bits_to_tuple`` touches each 64-bit word once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import sys
+from array import array
+from typing import Iterable
 
 
 def window_mask(limit: int) -> int:
@@ -51,13 +57,21 @@ def largest_missing(bits: int, limit: int) -> int:
     return comp.bit_length() - 1
 
 
-def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the set bit positions in increasing order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def bits_to_tuple(bits: int) -> tuple[int, ...]:
-    return tuple(iter_bits(bits))
+    """The set bit positions of a non-negative int, in increasing order.
+
+    The int is cut once into 64-bit words; zero words are skipped, and each
+    set bit is peeled off its own word, never off the whole int.
+    """
+    words = array("Q", bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    out = []
+    base = 0
+    for w in words:
+        while w:
+            low = w & -w
+            out.append(base + low.bit_length() - 1)
+            w ^= low
+        base += 64
+    return tuple(out)

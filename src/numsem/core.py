@@ -6,22 +6,24 @@ element is the multiplicity e, the number of minimal generators is the
 embedding dimension v, and the largest integer outside the semigroup is the
 Frobenius number f.
 
-Membership lives in a bitset over a finite window.  Everything above f is a
-member, so the window only needs to be wide enough for the callers; it is
-grown (copy-on-extend, under a lock) when a query lands beyond it.
+The Apery set is read off a membership bitset over a finite window, which
+is grown (copy-on-extend, under a lock) when a caller asks beyond it.
+Membership itself is a lookup in the Apery set, with no window.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._bitset import closure_bits, largest_missing, window_mask
+from ._bitset import bits_to_tuple, closure_bits, largest_missing, window_mask
 from .errors import (
     EmptyGenerators,
     GcdNotOne,
+    InternalInconsistency,
     InvalidGenerator,
     NonMinimal,
 )
@@ -82,7 +84,9 @@ class NumericalSemigroup:
     extends on demand and is safe to share between threads.
     """
 
-    __slots__ = ("gens", "e", "v", "f", "_bits", "_horizon", "_lock", "_cache")
+    __slots__ = (
+        "gens", "e", "v", "f", "_bits", "_horizon", "_ap_class", "_lock", "_cache"
+    )
 
     def __init__(self, gens: Iterable[int]):
         cleaned = self._validate(gens)
@@ -93,6 +97,7 @@ class NumericalSemigroup:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_horizon", horizon)
+        object.__setattr__(self, "_ap_class", None)
         object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_cache", {})
 
@@ -157,12 +162,14 @@ class NumericalSemigroup:
             object.__setattr__(self, "_horizon", new_horizon)
 
     def contains(self, s: int) -> bool:
-        """Membership test; negative integers are never members."""
-        if s < 0:
-            return False
-        if s > self.f:
-            return True
-        return bool((self._bits >> s) & 1)
+        """Membership test in O(1), with no window.
+
+        The members of a residue class mod e are its Apery element w and
+        w + e, w + 2e, ..., so s is a member iff s >= w.  Negative integers
+        fall below every Apery element and are never members.
+        """
+        ap_class = self._ap_class or self._compute_apery()
+        return s >= ap_class[s % self.e]
 
     __contains__ = contains
 
@@ -180,28 +187,40 @@ class NumericalSemigroup:
 
     def apery(self) -> AperySet:
         """Apery set with respect to the multiplicity."""
-        return self._memo("apery", self._compute_apery)
+        return AperySet(tuple(sorted(self._ap_class or self._compute_apery())))
 
-    def _compute_apery(self) -> AperySet:
-        e = self.e
-        found: dict[int, int] = {}
+    def _apery_bits(self) -> int:
+        """Bitset of the members s with s - e not a member, all within [0, f + e]."""
         bits = self._bits
-        x = 0
-        top = self.f + e  # the largest Apery element
-        while len(found) < e and x <= max(top, 0):
-            if (bits >> x) & 1:
-                r = x % e
-                if r not in found:
-                    found[r] = x
-            x += 1
-        return AperySet(tuple(sorted(found.values())))
+        return bits & ~(bits << self.e) & window_mask(self.f + self.e)
+
+    def _compute_apery(self) -> array:
+        """The Apery element of each residue class mod e, indexed by class.
+
+        Computed on first use and kept, packed at 8 bytes a class (a race
+        only computes it twice).
+        Checks the theorems that pin the set down: it has e elements, one
+        per class, contains 0 and has maximum f + e.
+        """
+        e, top = self.e, self.f + self.e
+        elems = bits_to_tuple(self._apery_bits())
+        by_class = {w % e: w for w in elems}
+        if len(elems) != e or len(by_class) != e or (elems[0], elems[-1]) != (0, top):
+            raise InternalInconsistency(
+                "Apery set of %r is not e = %d elements, one per class, from 0 to f + e"
+                % (self, e)
+            )
+        ap_class = array("q", (by_class[r] for r in range(e)))
+        object.__setattr__(self, "_ap_class", ap_class)
+        return ap_class
 
     def gaps(self) -> set[int]:
         """The finite complement of the semigroup in the naturals."""
-        return {x for x in range(self.f + 1) if not self.contains(x)}
+        return set(bits_to_tuple(~self._bits & window_mask(self.f)))
 
     def genus(self) -> int:
-        return len(self.gaps())
+        """Number of gaps: f + 1 minus the members in [0, f]."""
+        return self.f + 1 - (self._bits & window_mask(self.f)).bit_count()
 
     # -- plumbing ------------------------------------------------------------
 

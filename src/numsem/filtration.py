@@ -114,11 +114,9 @@ def _compute_bundle(S: NumericalSemigroup) -> tuple[HilbertProfile, FiltrationTa
         c_sets[k] = bits_to_tuple(c_bits)
         if d_sets[k] or c_sets[k]:
             last_active = k
-        if d_sets[k]:
-            split: dict[int, list[int]] = {}
-            for s in d_sets[k]:
-                split.setdefault(table.order(s + e), []).append(s)
-            d_split[k] = {t: tuple(v) for t, v in sorted(split.items())}
+        if d_bits:
+            landing = table.by_order(d_bits << e, k + 1)  # D_k + e lies in (k+1)M
+            d_split[k] = {t: bits_to_tuple(b >> e) for t, b in landing.items()}
 
     r_stop = max(2, last_active + 1)
     for k in list(d_sets):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ._bitset import shift_sum, window_mask
+from ._bitset import bits_to_tuple, shift_sum, window_mask
 from .core import NumericalSemigroup
 from .errors import BadLevel, InternalInconsistency, NotMember
 
@@ -95,6 +95,20 @@ class OrderTable:
         """Bitset of the elements of order exactly h."""
         levels, _ = self._require(h + 1)
         return levels[h] & ~levels[h + 1]
+
+    def by_order(self, bits: int, h: int = 1) -> dict[int, int]:
+        """Split a subset of hM by order: {order: bitset of that order}.
+
+        Nonempty parts only, in increasing order; one intersection per level.
+        """
+        parts: dict[int, int] = {}
+        while bits:
+            above = self.level(h + 1)
+            if here := bits & ~above:
+                parts[h] = here
+            bits &= above
+            h += 1
+        return parts
 
     def order(self, s: int) -> int:
         """ord(s) for a member s (no membership check here)."""
@@ -288,14 +302,9 @@ def apery_strata(S: NumericalSemigroup) -> AperyStratification:
 
 
 def _compute_strata(S: NumericalSemigroup) -> AperyStratification:
-    table = order_table(S)
-    grouped: dict[int, list[int]] = {}
-    for w in S.apery():
-        if w == 0:
-            continue
-        grouped.setdefault(table.order(w), []).append(w)
-    d = max(grouped, default=0)
-    strata = {k: tuple(sorted(grouped.get(k, ()))) for k in range(1, d + 1)}
+    parts = order_table(S).by_order(S._apery_bits() & ~1)
+    d = max(parts, default=0)
+    strata = {k: bits_to_tuple(parts.get(k, 0)) for k in range(1, d + 1)}
     profile = (1,) + tuple(len(strata[k]) for k in range(1, d + 1))
     if sum(len(v) for v in strata.values()) + 1 != S.e:
         raise InternalInconsistency("Apery strata sizes do not sum to e")

@@ -26,7 +26,13 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ._bitset import closure_bits, largest_missing, shift_sum, window_mask
+from ._bitset import (
+    bits_to_tuple,
+    closure_bits,
+    largest_missing,
+    shift_sum,
+    window_mask,
+)
 from .core import NumericalSemigroup, build
 from .errors import (
     BadRange,
@@ -294,15 +300,11 @@ def _completion_candidates(
     """
     limit = (e - 1) * max(skeleton) + 1
     bits = closure_bits(skeleton, limit)
+    # The skeleton holds e, so a class's smallest element x has x - e outside.
+    smallest = {x % e: x for x in bits_to_tuple(bits & ~(bits << e))}
     choices: list[list[int]] = []
     for cls in missing:
-        cap = bound
-        x = cls
-        while x <= limit:
-            if (bits >> x) & 1:
-                cap = min(cap, x - e)
-                break
-            x += e
+        cap = min(bound, smallest[cls] - e) if cls in smallest else bound
         values = list(range(cls + e, cap + 1, e))
         if not values:
             return None

@@ -37,11 +37,12 @@ __all__ = [
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
-    """Gap reflection test: x in S iff f - x is a gap."""
-    f = S.f
-    if f < 0:
-        return True
-    return all(S.contains(x) != S.contains(f - x) for x in range(f + 1))
+    """True iff x in S exactly when f - x is a gap.
+
+    Decided by counting: S is symmetric iff 2 g(S) = f + 1, with g the genus
+    (Rosales and Garcia-Sanchez, Numerical Semigroups, Springer 2009).
+    """
+    return 2 * S.genus() == S.f + 1
 
 
 def _ap1(S: NumericalSemigroup) -> tuple[int, ...]:

@@ -31,6 +31,37 @@ def apery(gens):
     return tuple(sorted(out.values()))
 
 
+def gaps(gens):
+    """The integers in [0, f] outside the semigroup, by the array DP."""
+    f = frobenius(gens)
+    member = members_upto(gens, max(f, 0))
+    return {x for x in range(f + 1) if not member[x]}
+
+
+def is_symmetric_scan(gens):
+    """Gap reflection scan: x is a member iff f - x is a gap, for x in [0, f]."""
+    f = frobenius(gens)
+    if f < 0:
+        return True
+    member = members_upto(gens, f)
+    return all(member[x] != member[f - x] for x in range(f + 1))
+
+
+def two_generator(a, b):
+    """Closed forms for <a, b> with 1 < a < b coprime.
+
+    f = ab - a - b (Sylvester), genus (a-1)(b-1)/2, the Apery set is
+    {j*b : 0 <= j < a}, and j*b has order j: below ab its only
+    representation is j copies of b.
+    """
+    return {
+        "frobenius": a * b - a - b,
+        "genus": (a - 1) * (b - 1) // 2,
+        "apery": tuple(j * b for j in range(a)),
+        "strata": {j: (j * b,) for j in range(1, a)},
+    }
+
+
 def representations(gens, s):
     """Every coefficient vector over gens summing to s (complete DFS)."""
     gens = tuple(gens)
