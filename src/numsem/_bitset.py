@@ -22,14 +22,16 @@ def window_mask(limit: int) -> int:
     return (1 << (limit + 1)) - 1
 
 
-def closure_bits(gens: Iterable[int], limit: int) -> int:
+def closure_bits(gens: Iterable[int], limit: int, bits: int = 1) -> int:
     """Additive closure of ``gens`` (including 0), intersected with [0, limit].
 
     For each generator the shift doubles (g, 2g, 4g, ...), which reaches every
     multiple of g inside the window in O(log(limit/g)) big-int operations.
+    ``bits`` may already hold a windowed monoid; the result is then that
+    monoid grown by ``gens``, so a closure can be extended one generator at a
+    time.
     """
     mask = window_mask(limit)
-    bits = 1
     for g in gens:
         shift = g
         while shift <= limit:
@@ -51,6 +53,20 @@ def shift_sum(bits: int, gens: Iterable[int], mask: int) -> int:
     return out & mask
 
 
+def irreducible_bits(bits: int, gens: Iterable[int], mask: int) -> int:
+    """Level 1 minus level 2: the nonzero members of the monoid ``bits``
+    that are not a sum of two nonzero members.
+
+    ``bits`` must be the closure of ``gens`` over the window of ``mask``.  A
+    generator g inside the window is minimal iff its bit survives, because a
+    sum equal to g has all its terms below g.  So over [0, max(gens)] this is
+    the minimal generating set, and a generator missing from it is a sum of
+    the others.
+    """
+    level1 = bits & ~1
+    return level1 & ~shift_sum(level1, gens, mask)
+
+
 def largest_missing(bits: int, limit: int) -> int:
     """Largest x in [0, limit] whose bit is clear, or -1 if none."""
     comp = ~bits & window_mask(limit)
@@ -61,8 +77,19 @@ def bits_to_tuple(bits: int) -> tuple[int, ...]:
     """The set bit positions of a non-negative int, in increasing order.
 
     The int is cut once into 64-bit words; zero words are skipped, and each
-    set bit is peeled off its own word, never off the whole int.
+    set bit is peeled off its own word, never off the whole int.  Ints of at
+    most four words (empty sets included) are peeled whole instead: at that
+    size the fixed cost of the cut outweighs what it saves.
     """
+    if not bits:
+        return ()
+    if bits.bit_length() <= 256:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
     words = array("Q", bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little"))
     if sys.byteorder == "big":
         words.byteswap()

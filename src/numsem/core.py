@@ -19,7 +19,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._bitset import bits_to_tuple, closure_bits, largest_missing, window_mask
+from ._bitset import (
+    bits_to_tuple,
+    closure_bits,
+    irreducible_bits,
+    largest_missing,
+    window_mask,
+)
 from .errors import (
     EmptyGenerators,
     GcdNotOne,
@@ -121,11 +127,17 @@ class NumericalSemigroup:
         common = math.gcd(*ordered)
         if common != 1:
             raise GcdNotOne("gcd of %s is %d" % (ordered, common))
-        # A generator is redundant iff the others already reach it.
-        for i, g in enumerate(ordered):
-            others = ordered[:i] + ordered[i + 1 :]
-            if others and (closure_bits(others, g) >> g) & 1:
-                raise NonMinimal("generator %d is a sum of the others" % g)
+        # A generator is redundant iff the others already reach it, i.e. iff
+        # it is a sum of two nonzero members; report the smallest such.
+        limit = ordered[-1]
+        gen_bits = 0
+        for g in ordered:
+            gen_bits |= 1 << g
+        closure = closure_bits(ordered, limit)
+        redundant = gen_bits & ~irreducible_bits(closure, ordered, window_mask(limit))
+        if redundant:
+            g = (redundant & -redundant).bit_length() - 1
+            raise NonMinimal("generator %d is a sum of the others" % g)
         return tuple(ordered)
 
     @staticmethod

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from ._bitset import closure_bits, shift_sum, window_mask, bits_to_tuple
+from ._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
 from .core import NumericalSemigroup, build
 
 __all__ = ["minimalize", "random_corpus", "random_semigroup", "symmetric_pairs"]
@@ -20,10 +20,7 @@ def minimalize(values: list[int]) -> tuple[int, ...]:
     vals = sorted(set(values))
     limit = max(vals)
     mask = window_mask(limit)
-    bits = closure_bits(vals, limit)
-    level1 = bits & ~1
-    level2 = shift_sum(level1, vals, mask)
-    return bits_to_tuple(level1 & ~level2)
+    return bits_to_tuple(irreducible_bits(closure_bits(vals, limit), vals, mask))
 
 
 def random_semigroup(

@@ -16,19 +16,24 @@ Three layers:
   complete the remaining residue classes.  Every candidate value for a
   missing class sits below that class's smallest element in the subsemigroup
   generated by the skeleton (the final Apery element can only be smaller),
-  so the enumeration is exhaustive within the generator bound.  Each
-  completed candidate is validated end to end before it is reported.
+  so the enumeration is exhaustive within the generator bound.  The classes
+  are filled depth-first over an incremental closure, and a prefix is cut as
+  soon as one of its generators becomes a sum of the others: adding
+  generators never makes a redundant one minimal again, so no completion of
+  that prefix is minimal.  Each surviving candidate is validated end to end,
+  and every hit is rebuilt from scratch and re-verified before it is
+  reported.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._bitset import (
     bits_to_tuple,
     closure_bits,
+    irreducible_bits,
     largest_missing,
     shift_sum,
     window_mask,
@@ -256,7 +261,10 @@ class SearchConfig:
 
 
 def _candidate_is_hit(e: int, gens: tuple[int, ...]) -> bool:
-    """Fast end-to-end check: gens minimally generate and H_R decreases."""
+    """Fast end-to-end check: gens minimally generate and H_R decreases.
+
+    Its minimality check backs up the pruning of ``_expand_skeleton``.
+    """
     maxg = max(gens)
     cutoff = (e - 1) * maxg + 1
     f = largest_missing(closure_bits(gens, cutoff), cutoff)
@@ -290,18 +298,18 @@ def _candidate_is_hit(e: int, gens: tuple[int, ...]) -> bool:
 
 
 def _completion_candidates(
-    skeleton: tuple[int, ...], e: int, missing: list[int], bound: int
+    closure: int, e: int, missing: list[int], bound: int
 ) -> list[list[int]] | None:
     """Per missing residue class, the admissible completion values.
 
-    The Apery element of a missing class in the final semigroup lies
-    strictly below the class's smallest element in the skeleton
-    subsemigroup (which has order >= 2 there), in steps of e.
+    ``closure`` is the skeleton subsemigroup over [0, bound].  The Apery
+    element of a missing class in the final semigroup lies strictly below
+    the class's smallest element there (which has order >= 2), in steps of
+    e.  A class whose smallest element lies above the window keeps every
+    value up to ``bound``: that cap cuts no value of the class.
     """
-    limit = (e - 1) * max(skeleton) + 1
-    bits = closure_bits(skeleton, limit)
     # The skeleton holds e, so a class's smallest element x has x - e outside.
-    smallest = {x % e: x for x in bits_to_tuple(bits & ~(bits << e))}
+    smallest = {x % e: x for x in bits_to_tuple(closure & ~(closure << e))}
     choices: list[list[int]] = []
     for cls in missing:
         cap = min(bound, smallest[cls] - e) if cls in smallest else bound
@@ -315,18 +323,45 @@ def _completion_candidates(
 def _expand_skeleton(
     e: int, forced: tuple[int, ...], occupied: set[int], bound: int
 ) -> list[tuple[int, ...]]:
-    """Complete a forced skeleton over its missing classes and validate."""
-    hits = []
+    """Complete a forced skeleton over its missing classes and validate.
+
+    The missing classes are filled depth-first, one generator per class,
+    growing the closure over [0, bound] by each chosen value.  Redundancy is
+    monotone (more generators never make a redundant one minimal again), so
+    a prefix is cut as soon as any chosen generator, forced ones included,
+    becomes a sum of the others; the skeleton itself is checked at the root.
+    Surviving leaves go to the end-to-end check.
+    """
+    hits: list[tuple[int, ...]] = []
     if max(forced) > bound:
         return hits
+    mask = window_mask(bound)
+    root = closure_bits(forced, bound)
+    root_gens = 0
+    for g in forced:
+        root_gens |= 1 << g
+    if irreducible_bits(root, forced, mask) & root_gens != root_gens:
+        return hits
     missing = sorted(set(range(e)) - occupied)
-    choices = _completion_candidates(forced, e, missing, bound)
+    choices = _completion_candidates(root, e, missing, bound)
     if choices is None:
         return hits
-    for extras in itertools.product(*choices):
-        gens = forced + extras
-        if _candidate_is_hit(e, gens):
-            hits.append(tuple(sorted(gens)))
+    # Each entry: (classes filled, generators, their closure, generator bits).
+    stack = [(0, forced, root, root_gens)]
+    while stack:
+        depth, gens, closure, gen_bits = stack.pop()
+        if depth == len(choices):
+            if _candidate_is_hit(e, gens):
+                hits.append(tuple(sorted(gens)))
+            continue
+        for x in choices[depth]:
+            if (closure >> x) & 1:
+                break  # x is reached, and so is every later value of its class
+            grown = closure_bits((x,), bound, closure)
+            grown_gens = gens + (x,)
+            grown_bits = gen_bits | (1 << x)
+            if irreducible_bits(grown, grown_gens, mask) & grown_bits == grown_bits:
+                stack.append((depth + 1, grown_gens, grown, grown_bits))
     return hits
 
 
@@ -413,40 +448,29 @@ def _search_offset4_task(args) -> list[tuple[int, ...]]:
                 occupied = {x % e for x in forced} | set(ap2) | {ap3 % e}
                 if len(occupied) == 10:
                     hits.extend(_expand_skeleton(e, forced, occupied, bound))
-        # (4, 0): three-generator shapes
-        for n_k in values:
-            if n_k in (a, b):
+        # (4, 0): three-generator shapes.  Whether a shape's 13 classes are
+        # distinct depends only on c mod e, so each residue r of c is tested
+        # once per (a, b) and only the values of admissible residues are tried.
+        # Ten of the 13 classes do not depend on c; if they collide, no c fits.
+        fixed = {x % e for x in (0, a, b, 3 * a, 2 * a + b, a + 2 * b, 3 * b)}
+        fixed |= set(ap2)
+        if len(fixed) < 10:
+            continue
+        for r in set(range(1, e)) - fixed:
+            occupied1 = fixed | {r, (2 * a + r) % e, (a + r) % e}
+            occupied2 = fixed | {r, 3 * r % e, 2 * r % e}
+            shape1 = len(occupied1) == 13
+            shape2 = a < b and len(occupied2) == 13
+            if not (shape1 or shape2):
                 continue
-            c = n_k
-            pat1 = (
-                e,
-                a,
-                b,
-                c,
-                3 * a - e,
-                2 * a + b - e,
-                a + 2 * b - e,
-                3 * b - e,
-                2 * a + c - e,
-            )
-            occupied = {x % e for x in pat1} | set(ap2) | {(a + c) % e}
-            if len(occupied) == 13:
-                hits.extend(_expand_skeleton(e, pat1, occupied, bound))
-            if a < b:
-                pat2 = (
-                    e,
-                    a,
-                    b,
-                    c,
-                    3 * a - e,
-                    2 * a + b - e,
-                    a + 2 * b - e,
-                    3 * b - e,
-                    3 * c - e,
-                )
-                occupied = {x % e for x in pat2} | set(ap2) | {2 * c % e}
-                if len(occupied) == 13:
-                    hits.extend(_expand_skeleton(e, pat2, occupied, bound))
+            for c in range(r + e, bound + 1, e):
+                base = (e, a, b, c, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
+                if shape1:
+                    pat1 = base + (2 * a + c - e,)
+                    hits.extend(_expand_skeleton(e, pat1, occupied1, bound))
+                if shape2:
+                    pat2 = base + (3 * c - e,)
+                    hits.extend(_expand_skeleton(e, pat2, occupied2, bound))
     return hits
 
 

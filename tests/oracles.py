@@ -3,8 +3,12 @@
 Everything here is written the slow, obvious way: array DP for membership,
 full DFS over generator combinations for orders and representations, and
 plain scans for Apery sets and Hilbert values.  Tests freeze values computed
-by these and diff them against the package.
+by these and diff them against the package.  Only the search twin at the
+end calls into the package, for ``build`` and ``hilbert_function``.
 """
+
+import itertools
+
 
 def members_upto(gens, limit):
     member = [False] * (limit + 1)
@@ -29,6 +33,16 @@ def apery(gens):
         if member[x] and x % e not in out:
             out[x % e] = x
     return tuple(sorted(out.values()))
+
+
+def redundant(gens):
+    """The generators that the others reach, by the array DP on the others."""
+    out = set()
+    for g in gens:
+        others = [h for h in gens if h != g]
+        if others and members_upto(others, g)[g]:
+            out.add(g)
+    return out
 
 
 def gaps(gens):
@@ -144,3 +158,78 @@ def dk_ck(gens, k):
         if ords[x] == k and (x - e < 0 or ords[x - e] is None or ords[x - e] <= k - 2)
     )
     return d_k, c_k
+
+
+def offset3_skeletons(e, bound):
+    """(forced, occupied) for each witness pair e < n_i < n_j <= bound of a
+    v = e-3 decrease: the nine products of degree <= 3 lie in distinct
+    nonzero classes, and the forced generators are e, n_i, n_j and the four
+    degree-3 products minus e."""
+    for n_i in range(e + 1, bound + 1):
+        for n_j in range(n_i + 1, bound + 1):
+            base = (n_i, 2 * n_i, 3 * n_i, n_j, n_i + n_j, 2 * n_i + n_j)
+            base += (2 * n_j, n_i + 2 * n_j, 3 * n_j)
+            classes = {x % e for x in base}
+            if len(classes) == 9 and 0 not in classes:
+                forced = (e, n_i, n_j, 3 * n_i - e, 2 * n_i + n_j - e)
+                forced += (n_i + 2 * n_j - e, 3 * n_j - e)
+                yield forced, classes | {0}
+
+
+def offset4_skeletons(e, bound):
+    """(forced, occupied) for each v = e-4 shape: the (3, 1) chains with the
+    order jump at level 2 or 3, and the two (4, 0) three-generator shapes,
+    every pair and triple of values in (e, bound] tried in turn."""
+    values = [x for x in range(e + 1, bound + 1) if x % e]
+    for a in values:
+        for b in values:
+            if b % e == a % e:
+                continue
+            ap2 = {2 * a % e, (a + b) % e, 2 * b % e}
+            forced = (e, a, b, 4 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
+            occupied = {x % e for x in forced} | ap2 | {3 * a % e}
+            if len(occupied) == 11:
+                yield forced, occupied
+            c3 = (3 * a, 2 * a + b, a + 2 * b, 3 * b)
+            for ap3 in c3 if a < b else ():
+                forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
+                occupied = {x % e for x in forced} | ap2 | {ap3 % e}
+                if len(occupied) == 10:
+                    yield forced, occupied
+            for c in values:
+                base = (e, a, b, c, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
+                pat1 = base + (2 * a + c - e,)
+                occupied = {x % e for x in pat1} | ap2 | {(a + c) % e}
+                if len(occupied) == 13:
+                    yield pat1, occupied
+                pat2 = base + (3 * c - e,)
+                occupied = {x % e for x in pat2} | ap2 | {2 * c % e}
+                if a < b and len(occupied) == 13:
+                    yield pat2, occupied
+
+
+def search_by_product(e, skeletons, bound):
+    """Sorted generator tuples of the decreasing semigroups a bounded search
+    must find, by brute force over completions.
+
+    Each skeleton with every generator <= bound is completed by the full
+    product of the values of each missing class in (e, bound], no pruning
+    and no cap.  Every candidate is built; non-minimal ones raise and are
+    dropped, the rest are kept iff H_R decreases.
+    """
+    from numsem import NonMinimal, build, hilbert_function
+
+    hits = set()
+    for forced, occupied in skeletons:
+        if max(forced) > bound:
+            continue
+        missing = sorted(set(range(e)) - occupied)
+        choices = [range(cls + e, bound + 1, e) for cls in missing]
+        for extras in itertools.product(*choices):
+            try:
+                S = build(forced + extras)
+            except NonMinimal:
+                continue
+            if hilbert_function(S).is_decreasing:
+                hits.add(S.gens)
+    return sorted(hits)

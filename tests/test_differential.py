@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numsem import InternalInconsistency, apery_strata, build, is_symmetric
-from numsem._bitset import bits_to_tuple
+from numsem import InternalInconsistency, NonMinimal, apery_strata, build, is_symmetric
+from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
 from numsem.core import NumericalSemigroup
 from numsem.corpus import minimalize
 
@@ -96,7 +96,11 @@ def naive_bit_scan(bits):
         1,
         1 << 7,
         1 << 8,
+        1 << 33,
         1 << 63,
+        (1 << 63) | 1,
+        (1 << 255) | 1,  # the widest int peeled whole
+        (1 << 256) | (1 << 255),  # the narrowest one cut into words
         1 << 64,
         (1 << 64) - 1,
         (1 << 200) | (1 << 64) | 1,  # zero bytes and zero words inside
@@ -115,6 +119,28 @@ def test_bits_to_tuple_round_trip(positions):
     for x in positions:
         bits |= 1 << x
     assert bits_to_tuple(bits) == naive_bit_scan(bits) == tuple(sorted(set(positions)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True)
+)
+def test_minimality_test_matches_oracle(gens):
+    """The one minimality test (level 1 minus level 2 over [0, max gen])
+    against "g is in the closure of the others", in the three places that
+    read it: the helper itself, ``minimalize`` and validation."""
+    gens = sorted(gens)
+    want = oracles.redundant(gens)
+    limit = gens[-1]
+    irreducible = irreducible_bits(closure_bits(gens, limit), gens, window_mask(limit))
+    assert set(gens) - set(bits_to_tuple(irreducible)) == want
+    assert minimalize(gens) == tuple(g for g in gens if g not in want)
+    if want and math.gcd(*gens) == 1:
+        message = "^generator %d is a sum of the others$" % min(want)
+        with pytest.raises(NonMinimal, match=message):
+            build(gens)
+    elif math.gcd(*gens) == 1:
+        assert build(gens).gens == tuple(gens)
 
 
 def test_two_generator_closed_forms_at_scale():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numsem import (
     BadRange,
@@ -18,8 +20,10 @@ from numsem import (
     sp_generator_list,
     strata_tables,
 )
+from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
 
 import data
+import oracles
 
 
 def test_residue_row_examples():
@@ -171,8 +175,11 @@ def test_search_csv_shape(sp_instances):
 
 
 def test_search_agrees_with_raw_enumeration():
-    """Differential check: raw subset enumeration (no skeleton pruning) finds
-    exactly what the pruned search finds."""
+    """Differential check against brute force.  At e = 10 raw subset
+    enumeration (no skeleton at all) finds nothing, like the search; at
+    e = 13..17 the slow twin completes the same shapes by the full product
+    over every value of each missing class (no pruning, no cap) and keeps
+    what builds and decreases."""
     import itertools
 
     from numsem.search import _candidate_is_hit
@@ -186,6 +193,42 @@ def test_search_agrees_with_raw_enumeration():
     assert sorted(brute) == sorted(S.gens for S in search_decreasing(cfg))
     assert brute == []
 
+    cases = [
+        ((13, 13), 3, dict(gen_bound_per_e=4), 16),
+        ((13, 13), 3, dict(gen_bound_per_e=5), 55),
+        ((15, 16), 4, dict(gen_bound_per_e=3), 2),
+        ((17, 17), 4, dict(gen_bound=59), 26),
+    ]
+    shapes = {3: oracles.offset3_skeletons, 4: oracles.offset4_skeletons}
+    for e_range, v_offset, bound_kw, count in cases:
+        cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
+        want = []
+        for e in range(e_range[0], e_range[1] + 1):
+            bound = cfg.bound_for(e)
+            skeletons = shapes[v_offset](e, bound)
+            want += oracles.search_by_product(e, skeletons, bound)
+        assert [S.gens for S in search_decreasing(cfg)] == want
+        assert len(want) == count
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=6, unique=True),
+    st.lists(st.integers(min_value=2, max_value=60), max_size=4),
+)
+def test_redundancy_is_monotone(gens, extra):
+    """The premise of the search's pruning: a generator that the others
+    reach stays reached when more values are added."""
+    gens = sorted(gens)
+    values = sorted(set(gens) | {gens[0] + gens[1]})
+    before = oracles.redundant(values)
+    assert before
+    grown = sorted(set(values) | set(extra))
+    assert before <= oracles.redundant(grown)
+    mask = window_mask(grown[-1])
+    closure = closure_bits(grown, grown[-1])
+    assert set(grown) - set(bits_to_tuple(irreducible_bits(closure, grown, mask)))
+
 
 def test_search_worker_determinism():
     cfg1 = SearchConfig(e_range=(13, 13), v_offset=3, gen_bound_per_e=4, workers=1)
@@ -193,3 +236,12 @@ def test_search_worker_determinism():
     csv1 = search_results_csv(search_decreasing(cfg1))
     csv2 = search_results_csv(search_decreasing(cfg2))
     assert csv1 == csv2
+
+
+def test_search_offset4_worker_determinism():
+    cfg1 = SearchConfig(e_range=(15, 16), v_offset=4, gen_bound_per_e=3, workers=1)
+    cfg2 = SearchConfig(e_range=(15, 16), v_offset=4, gen_bound_per_e=3, workers=2)
+    csv1 = search_results_csv(search_decreasing(cfg1))
+    csv2 = search_results_csv(search_decreasing(cfg2))
+    assert csv1 == csv2
+    assert csv1.count("\n") == 3
