@@ -140,7 +140,12 @@ def parse(argv: list[str]) -> Command:
     elif verb == "residue-table":
         if len(positional) != 1:
             raise UsageError("residue-table takes the modulus e")
-        cmd.gens = parse_generators(positional[0])
+        try:
+            cmd.gens = [int(positional[0])]
+        except ValueError:
+            raise UsageError(
+                "residue-table takes a single integer modulus, not %r" % positional[0]
+            ) from None
     elif verb in ("construct-sp", "search"):
         if positional:
             raise UsageError("%s takes flags only" % verb)
@@ -306,8 +311,6 @@ def execute(cmd: Command) -> Report:
 
 def _dispatch(cmd: Command) -> Report:
     if cmd.verb == "residue-table":
-        if len(cmd.gens) != 1:
-            raise UsageError("residue-table takes a single modulus")
         rows = residue_table(cmd.gens[0])
         payload = {
             "e": cmd.gens[0],

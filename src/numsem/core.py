@@ -6,15 +6,14 @@ element is the multiplicity e, the number of minimal generators is the
 embedding dimension v, and the largest integer outside the semigroup is the
 Frobenius number f.
 
-The Apery set is read off a membership bitset over a finite window, which
-is grown (copy-on-extend, under a lock) when a caller asks beyond it.
-Membership itself is a lookup in the Apery set, with no window.
+The Apery set is read off a membership bitset over a window fixed at
+construction, [0, (e-1)*max(gens)], which holds f + e.  Membership itself is
+a lookup in the Apery set, with no window.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -86,26 +85,23 @@ class NumericalSemigroup:
 
     The constructor validates the generator list: it must be non-empty,
     positive, have gcd 1, and be minimal (no generator representable by the
-    others).  Instances are immutable apart from the membership window, which
-    extends on demand and is safe to share between threads.
+    others).  Instances are immutable: the Apery table and the order table
+    (``grading.order_table``) are computed on first use and kept, and a race
+    between two threads only computes them twice.
     """
 
-    __slots__ = (
-        "gens", "e", "v", "f", "_bits", "_horizon", "_ap_class", "_lock", "_cache"
-    )
+    __slots__ = ("gens", "e", "v", "f", "_bits", "_ap_class", "_order_table")
 
     def __init__(self, gens: Iterable[int]):
         cleaned = self._validate(gens)
         object.__setattr__(self, "gens", cleaned)
         object.__setattr__(self, "e", cleaned[0])
         object.__setattr__(self, "v", len(cleaned))
-        bits, horizon, f = self._initial_table(cleaned)
+        bits, f = self._initial_table(cleaned)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_horizon", horizon)
         object.__setattr__(self, "_ap_class", None)
-        object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_order_table", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("NumericalSemigroup is immutable")
@@ -141,37 +137,17 @@ class NumericalSemigroup:
         return tuple(ordered)
 
     @staticmethod
-    def _initial_table(gens: tuple[int, ...]) -> tuple[int, int, int]:
-        e = gens[0]
-        if e == 1:
-            horizon = 8
-            return window_mask(horizon), horizon, -1
-        # Every residue class mod e is reached with at most e - 1 generators,
-        # so the Frobenius number is below this cutoff.
-        cutoff = (e - 1) * gens[-1] + 1
+    def _initial_table(gens: tuple[int, ...]) -> tuple[int, int]:
+        """(membership bitset over [0, cutoff], Frobenius number).
+
+        Every residue class mod e is reached with at most e - 1 generators,
+        so f + e <= (e - 1) * max(gens) < cutoff.
+        """
+        cutoff = (gens[0] - 1) * gens[-1] + 1
         bits = closure_bits(gens, cutoff)
-        f = largest_missing(bits, cutoff)
-        horizon = f + 3 * e
-        if horizon > cutoff:
-            bits = closure_bits(gens, horizon)
-        else:
-            horizon = cutoff
-        return bits, horizon, f
+        return bits, largest_missing(bits, cutoff)
 
     # -- membership --------------------------------------------------------
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    def _extend(self, upto: int) -> None:
-        with self._lock:
-            if upto <= self._horizon:
-                return
-            new_horizon = max(upto, 2 * self._horizon)
-            new_bits = closure_bits(self.gens, new_horizon)
-            object.__setattr__(self, "_bits", new_bits)
-            object.__setattr__(self, "_horizon", new_horizon)
 
     def contains(self, s: int) -> bool:
         """Membership test in O(1), with no window.
@@ -184,12 +160,6 @@ class NumericalSemigroup:
         return s >= ap_class[s % self.e]
 
     __contains__ = contains
-
-    def members_upto(self, limit: int) -> int:
-        """Membership bitset over [0, limit]."""
-        if limit > self._horizon:
-            self._extend(limit)
-        return self._bits & window_mask(limit)
 
     # -- classical invariants ----------------------------------------------
 
@@ -235,14 +205,6 @@ class NumericalSemigroup:
         return self.f + 1 - (self._bits & window_mask(self.f)).bit_count()
 
     # -- plumbing ------------------------------------------------------------
-
-    def _memo(self, key: str, fn):
-        cache = self._cache
-        if key not in cache:
-            value = fn()
-            with self._lock:
-                cache.setdefault(key, value)
-        return cache[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumericalSemigroup) and self.gens == other.gens

@@ -2,26 +2,34 @@
 
 For a semigroup element s, ord(s) is the largest h such that s is a sum of
 h nonzero elements; equivalently the largest coefficient sum over all ways
-of writing s in the generators.  The sets hM = {s : ord(s) >= h} are kept as
-bitsets: level h+1 is the union over generators g of (level h) + g, a few
-shift/OR operations per level.
+of writing s in the generators.  With M the nonzero elements, the sets
+hM = {s : ord(s) >= h} form the order filtration.
 
-The table also locates the first level r at which (r+1)M = rM + e.  From
-that level on, adding the multiplicity is a bijection between consecutive
-strata, which certifies that every downstream table is complete.
+One sweep per semigroup walks the levels hM as bitsets, three at a time, up
+to the first level r with (r+1)M = rM + e.  From that level on, adding the
+multiplicity is a bijection between consecutive strata, so the sweep has
+seen all there is: the Hilbert function, the sets C_k, D_k and D_k^t, the
+Apery strata, and the smallest element of hM in each residue class mod e
+for h <= r (the Apery table of the filtration).  ``order_table`` keeps that
+record on the semigroup, and ``order_of`` is a lookup in it.
 """
 
 from __future__ import annotations
 
-import threading
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterator
 
-from ._bitset import bits_to_tuple, shift_sum, window_mask
+from ._bitset import bits_to_tuple, closure_bits, shift_sum, window_mask
 from .core import NumericalSemigroup
 from .errors import BadLevel, InternalInconsistency, NotMember
 
 __all__ = [
     "AperyStratification",
+    "FiltrationTables",
+    "HilbertProfile",
     "MaximalRepresentation",
     "OrderTable",
     "SupportInfo",
@@ -34,132 +42,215 @@ __all__ = [
 ]
 
 
-class OrderTable:
-    """Bitsets of the sets hM over a shared window [0, limit].
+def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, nM, (n+1)M) as bitsets for n = 0, 1, ..., r, where r is the
+    least n >= 1 with (n+1)M = nM + e; ``gens[0]`` is e and f the Frobenius
+    number.
 
-    Grown on demand: asking for a level (or for the order of a large element)
-    rebuilds the window with doubling, so repeated queries stay cheap.  The
-    table is append-only after construction and safe for concurrent reads.
+    nM is exact on [0, f + (n+1)e] and (n+1)M on the window one e wider.
+    Every element of order n, and the smallest element of nM in each residue
+    class, lies in the first window: an integer above f + ne is in nM, being
+    ne plus a member.  A step is exact because x is in (n+1)M iff x - g is in
+    nM for some generator g, and g >= e.  Comparing the windows decides
+    (r+1)M = rM + e, as both sets hold every integer above f + (r+1)e; once
+    the identity holds at r it holds at every higher level, since
+    (r+2)M = M + (r+1)M = M + rM + e = (r+1)M + e.  It holds by r = e - 1:
+    among r+2 >= e+1 partial sums of a representation two agree mod e, and
+    the block between them is a multiple of e with at least as many copies
+    of e as the summands it replaces.  A sweep past that level raises.
+    """
+    e = gens[0]
+    hard_stop = max(1, e - 1)
+    base = closure_bits(gens, f + 2 * e)
+    here, above = base & window_mask(f + e), base & ~1
+    n = 0
+    while True:
+        yield n, here, above
+        if n and above == here << e:
+            return
+        if n == hard_stop:
+            raise InternalInconsistency(
+                "order filtration did not stabilize by level %d" % hard_stop
+            )
+        n += 1
+        here, above = above, shift_sum(above, gens, window_mask(f + (n + 2) * e))
+
+
+@dataclass(frozen=True)
+class HilbertProfile:
+    """Hilbert function values H_R(0..stable_at), plus certified tail.
+
+    ``values`` ends at the first index from which every later value equals
+    the multiplicity; ``decreasing_levels`` lists the levels l with
+    H_R(l) < H_R(l-1).
     """
 
-    def __init__(self, S: NumericalSemigroup):
-        self.S = S
-        self._levels: list[int] = []
-        self._limit = -1
-        self._stable_from: int | None = None
-        self._lock = threading.Lock()
-        self._require(2)
+    values: tuple[int, ...]
+    stable_at: int
+    decreasing_levels: tuple[int, ...]
 
     @property
-    def horizon(self) -> int:
-        return self._limit
+    def is_decreasing(self) -> bool:
+        return bool(self.decreasing_levels)
 
-    def _require(self, levels: int, value: int = 0) -> tuple[list[int], int]:
-        """Ensure levels 0..levels exist and the window covers ``value``.
+    def value_at(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("negative level")
+        return self.values[n] if n < len(self.values) else self.values[-1]
 
-        Returns (level list, window mask).  A rebuild swaps in a complete
-        replacement list at least as long as the old one, so a snapshot
-        obtained here stays valid for concurrent readers.
-        """
-        S = self.S
-        need = max(S.f + (levels + 2) * S.e, value + S.e, 3 * S.e)
-        with self._lock:
-            if need > self._limit:
-                levels = max(levels, len(self._levels) - 1)
-                limit = max(need, 2 * self._limit, S.f + (levels + 8) * S.e)
-                mask = window_mask(limit)
-                base = S.members_upto(limit)
-                fresh = [base, base & ~1]
-                while len(fresh) <= levels:
-                    fresh.append(shift_sum(fresh[-1], S.gens, mask))
-                self._levels = fresh
-                self._limit = limit
+    def arrow_text(self) -> str:
+        """Render like ``[1,10,9,11,12,13->]``."""
+        return "[%s->]" % ",".join(map(str, self.values))
+
+
+@dataclass(frozen=True)
+class FiltrationTables:
+    """The sets D_k and C_k through the index where both vanish for good.
+
+    ``d_sets[k]`` = elements of order k-1 whose order jumps past k after
+    adding the multiplicity (k >= 2).  ``c_sets[k]`` = order-k elements not
+    landed on from (k-1)M (k >= 1; level 1 is the non-multiplicity minimal
+    generators).  ``d_split[k][t]`` refines D_k by the landing order t.
+    ``k0`` is the least k with D_k nonempty, None when the tangent cone is
+    Cohen-Macaulay.  All D_k and C_k with k >= r_stop are empty.
+    """
+
+    d_sets: dict[int, tuple[int, ...]]
+    c_sets: dict[int, tuple[int, ...]]
+    d_split: dict[int, dict[int, tuple[int, ...]]]
+    k0: int | None
+    r_stop: int
+
+
+@dataclass(frozen=True)
+class AperyStratification:
+    """The Apery set partitioned by order.
+
+    ``strata[k]`` lists the Apery elements of order k; ``d`` is the largest
+    order present; ``h_r_prime`` is [1, |Ap_1|, ..., |Ap_d|], the Hilbert
+    function of the Artinian quotient by the multiplicity element.
+    """
+
+    strata: dict[int, tuple[int, ...]]
+    d: int
+    h_r_prime: tuple[int, ...]
+
+    def size(self, k: int) -> int:
+        return len(self.strata.get(k, ()))
+
+
+class OrderTable:
+    """What one sweep of the order filtration of S records.
+
+    ``columns[h][c]`` is the smallest element of hM in residue class c mod e,
+    for h = 0 .. ``stable_from`` (column 0 is the Apery set), packed 8 bytes
+    a class.  ``hilbert``, ``tables`` and ``apery_strata`` are what
+    ``hilbert_function``, ``strata_tables`` and ``apery_strata`` return.
+
+    The sets that a level resolves only later are kept as pending bits and
+    AND-ed against each later stratum: D_k + e, split by landing order, and
+    the Apery set, split by order.  Both are placed by level r = stable_from:
+    an element x of order t > r has x - e in (t-1)M, so an Apery element has
+    order at most r, and so has x + e for x in D_k, k <= r, since x has
+    order k - 1 < r.
+    """
+
+    __slots__ = ("e", "columns", "stable_from", "hilbert", "tables", "apery_strata")
+
+    def __init__(self, S: NumericalSemigroup):
+        e = S.e
+        columns: list[array] = []
+        values: list[int] = []
+        c_sets: dict[int, tuple[int, ...]] = {}
+        d_sets: dict[int, tuple[int, ...]] = {}
+        d_split: dict[int, dict[int, tuple[int, ...]]] = {}
+        landings: dict[int, int] = {}  # k -> the part of D_k + e not yet placed
+        apery_parts: dict[int, tuple[int, ...]] = {}  # k -> Apery elements of order k
+        below = below_stratum = pending = 0
+        for n, here, above in _levels(S.gens, S.f):
+            stratum = here & ~above
+            values.append(stratum.bit_count())
+            column = here & ~(here << e)
+            packed = array("q", bytes(8 * e))
+            for w in bits_to_tuple(column):
+                packed[w % e] = w
+            columns.append(packed)
+            if n == 0:
+                pending = column & ~1
             else:
-                mask = window_mask(self._limit)
-                while len(self._levels) <= levels:
-                    self._levels.append(shift_sum(self._levels[-1], S.gens, mask))
-            return self._levels, mask
+                c_sets[n] = bits_to_tuple(stratum & ~(below << e))
+                if part := pending & stratum:
+                    apery_parts[n] = bits_to_tuple(part)
+                    pending ^= part
+                for k, bits in landings.items():
+                    if hit := bits & stratum:
+                        d_split[k][n] = bits_to_tuple(hit >> e)
+                        landings[k] = bits ^ hit
+            if n >= 2:
+                d_bits = below_stratum & (above >> e)
+                d_sets[n] = bits_to_tuple(d_bits)
+                if d_bits:
+                    d_split[n] = {}
+                    landings[n] = d_bits << e
+            below, below_stratum = here, stratum
+        r = n
+        if any(landings.values()):
+            raise InternalInconsistency("D_k + e is not placed by level %d" % r)
 
-    def snapshot(self, levels: int) -> tuple[list[int], int]:
-        """A coherent (levels, mask) view covering levels 0..levels."""
-        return self._require(levels)
+        last_active = max((k for k in d_sets if d_sets[k] or c_sets[k]), default=1)
+        r_stop = max(2, last_active + 1)
+        for k in range(r_stop, r + 1):
+            del d_sets[k], c_sets[k]
+        k0 = min((k for k, v in d_sets.items() if v), default=None)
+        # H_R(n) = e on the computed tail; past r it follows from
+        # (r+1)M = rM + e, which the sweep checked.
+        for n in range(r_stop - 1, r + 1):
+            if values[n] != e:
+                raise InternalInconsistency("H_R(%d) = %d != e" % (n, values[n]))
+        stable_at = r_stop - 1
+        while stable_at > 0 and values[stable_at - 1] == e:
+            stable_at -= 1
+        decreasing = tuple(l for l in range(1, r_stop) if values[l] < values[l - 1])
 
-    def level(self, h: int) -> int:
-        """Bitset of hM over the current window."""
-        levels = self._levels
-        if h >= len(levels):
-            levels, _ = self._require(h)
-        return levels[h]
+        d = max(apery_parts, default=0)
+        strata = {k: apery_parts.get(k, ()) for k in range(1, d + 1)}
+        if sum(len(v) for v in strata.values()) + 1 != e:
+            raise InternalInconsistency("Apery strata sizes do not sum to e")
+        profile = (1,) + tuple(len(strata[k]) for k in range(1, d + 1))
 
-    def stratum(self, h: int) -> int:
-        """Bitset of the elements of order exactly h."""
-        levels, _ = self._require(h + 1)
-        return levels[h] & ~levels[h + 1]
-
-    def by_order(self, bits: int, h: int = 1) -> dict[int, int]:
-        """Split a subset of hM by order: {order: bitset of that order}.
-
-        Nonempty parts only, in increasing order; one intersection per level.
-        """
-        parts: dict[int, int] = {}
-        while bits:
-            above = self.level(h + 1)
-            if here := bits & ~above:
-                parts[h] = here
-            bits &= above
-            h += 1
-        return parts
+        self.e = e
+        self.columns = columns
+        self.stable_from = r
+        self.hilbert = HilbertProfile(tuple(values[: stable_at + 1]), stable_at, decreasing)
+        self.tables = FiltrationTables(d_sets, c_sets, d_split, k0, r_stop)
+        self.apery_strata = AperyStratification(strata, d, profile)
 
     def order(self, s: int) -> int:
-        """ord(s) for a member s (no membership check here)."""
-        if s == 0:
-            return 0
-        levels, _ = self._require(2, value=s)
-        h = 1
-        while True:
-            if h + 1 >= len(levels):
-                levels, _ = self._require(h + 1)
-            if not (levels[h + 1] >> s) & 1:
-                return h
-            h += 1
+        """ord(s) for a member s (no membership check here).
+
+        ord(s) is the last level whose smallest element in the class of s is
+        at most s.  From level r = stable_from on, that element grows by e a
+        level, so ord(s) = r + (s - w_r) / e once s >= w_r.
+        """
+        columns, r, c = self.columns, self.stable_from, s % self.e
+        top = columns[r][c]
+        if s >= top:
+            return r + (s - top) // self.e
+        return bisect_right(columns, s, 0, r, key=itemgetter(c)) - 1
 
     def ord_map(self, limit: int) -> dict[int, int]:
         """{s: ord(s)} for every member s in [0, limit]."""
-        members = self.S.members_upto(limit)
-        return {s: self.order(s) for s in range(limit + 1) if (members >> s) & 1}
-
-    @property
-    def stable_from(self) -> int:
-        """Least r >= 1 with (r+1)M = rM + e.
-
-        The check is a window comparison, valid because any element above
-        f + (r+1)e of order > r keeps order >= r when e is subtracted; once
-        the identity holds at r it holds at every higher level, since
-        (r+2)M = M + (r+1)M = M + rM + e = (r+1)M + e.  It always holds by
-        r = e - 1: among r+2 >= e+1 partial sums of a representation two
-        agree mod e, and the block between them is a multiple of e with at
-        least as many copies of e as the summands it replaces.
-        """
-        if self._stable_from is None:
-            S = self.S
-            hard_stop = max(1, S.e - 1)
-            r = 1
-            while True:
-                levels, mask = self._require(r + 1)
-                if levels[r + 1] == (levels[r] << S.e) & mask:
-                    self._stable_from = r
-                    break
-                r += 1
-                if r > hard_stop:
-                    raise InternalInconsistency(
-                        "order filtration did not stabilize by level %d" % hard_stop
-                    )
-        return self._stable_from
+        apery = self.columns[0]
+        return {s: self.order(s) for s in range(limit + 1) if s >= apery[s % self.e]}
 
 
 def order_table(S: NumericalSemigroup) -> OrderTable:
-    """The (cached) order table of S."""
-    return S._memo("order_table", lambda: OrderTable(S))
+    """The order table of S, computed on first use and kept on S."""
+    table = S._order_table
+    if table is None:
+        table = OrderTable(S)
+        object.__setattr__(S, "_order_table", table)
+    return table
 
 
 def order_of(S: NumericalSemigroup, s: int) -> int:
@@ -280,32 +371,5 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     return sorted(values)
 
 
-@dataclass(frozen=True)
-class AperyStratification:
-    """The Apery set partitioned by order.
-
-    ``strata[k]`` lists the Apery elements of order k; ``d`` is the largest
-    order present; ``h_r_prime`` is [1, |Ap_1|, ..., |Ap_d|], the Hilbert
-    function of the Artinian quotient by the multiplicity element.
-    """
-
-    strata: dict[int, tuple[int, ...]]
-    d: int
-    h_r_prime: tuple[int, ...]
-
-    def size(self, k: int) -> int:
-        return len(self.strata.get(k, ()))
-
-
 def apery_strata(S: NumericalSemigroup) -> AperyStratification:
-    return S._memo("apery_strata", lambda: _compute_strata(S))
-
-
-def _compute_strata(S: NumericalSemigroup) -> AperyStratification:
-    parts = order_table(S).by_order(S._apery_bits() & ~1)
-    d = max(parts, default=0)
-    strata = {k: bits_to_tuple(parts.get(k, 0)) for k in range(1, d + 1)}
-    profile = (1,) + tuple(len(strata[k]) for k in range(1, d + 1))
-    if sum(len(v) for v in strata.values()) + 1 != S.e:
-        raise InternalInconsistency("Apery strata sizes do not sum to e")
-    return AperyStratification(strata, d, profile)
+    return order_table(S).apery_strata

@@ -35,7 +35,6 @@ from ._bitset import (
     closure_bits,
     irreducible_bits,
     largest_missing,
-    shift_sum,
     window_mask,
 )
 from .core import NumericalSemigroup, build
@@ -46,6 +45,7 @@ from .errors import (
     NonMinimal,
 )
 from .filtration import hilbert_function
+from .grading import _levels
 
 __all__ = [
     "ResidueRow",
@@ -263,44 +263,32 @@ class SearchConfig:
 def _candidate_is_hit(e: int, gens: tuple[int, ...]) -> bool:
     """Fast end-to-end check: gens minimally generate and H_R decreases.
 
-    Its minimality check backs up the pruning of ``_expand_skeleton``.
+    ``gens[0]`` is e.  The order filtration is swept up to its first
+    decrease; at level 1 the check that the generators are exactly the
+    elements of order 1 backs up the minimality pruning of
+    ``_expand_skeleton``.
     """
-    maxg = max(gens)
-    cutoff = (e - 1) * maxg + 1
+    cutoff = (e - 1) * max(gens) + 1
     f = largest_missing(closure_bits(gens, cutoff), cutoff)
-    if f < 0:
-        return False
     gen_bits = 0
     for g in gens:
         gen_bits |= 1 << g
-    levels_cap = 8
-    while True:
-        # Window wide enough that every level check below it is conclusive.
-        limit = f + (levels_cap + 2) * e
-        mask = window_mask(limit)
-        level_cur = closure_bits(gens, limit) & ~1
-        level_next = shift_sum(level_cur, gens, mask)
-        if level_cur & ~level_next != gen_bits:
+    h_prev = 1  # H_R(0)
+    for n, here, above in _levels(gens, f):
+        stratum = here & ~above
+        if n == 1 and stratum != gen_bits:
             return False  # some generator is redundant
-        h_prev = 1  # H_R(0)
-        for _ in range(levels_cap):
-            h_cur = (level_cur & ~level_next).bit_count()
-            if h_cur < h_prev:
-                return True
-            if level_next == ((level_cur << e) & mask):
-                return False  # stabilized; the function never moves again
-            h_prev = h_cur
-            level_cur = level_next
-            level_next = shift_sum(level_cur, gens, mask)
-        if levels_cap > e:  # (r+1)M = rM + e holds by r = e - 1
-            raise InternalInconsistency("candidate filtration did not stabilize")
-        levels_cap = min(2 * levels_cap, e + 1)
+        h_cur = stratum.bit_count()
+        if h_cur < h_prev:
+            return True
+        h_prev = h_cur
+    return False  # stabilized; the function never moves again
 
 
 def _completion_candidates(
     closure: int, e: int, missing: list[int], bound: int
-) -> list[list[int]] | None:
-    """Per missing residue class, the admissible completion values.
+) -> list[int] | None:
+    """Per missing residue class, the bitset of admissible completion values.
 
     ``closure`` is the skeleton subsemigroup over [0, bound].  The Apery
     element of a missing class in the final semigroup lies strictly below
@@ -310,10 +298,10 @@ def _completion_candidates(
     """
     # The skeleton holds e, so a class's smallest element x has x - e outside.
     smallest = {x % e: x for x in bits_to_tuple(closure & ~(closure << e))}
-    choices: list[list[int]] = []
+    choices: list[int] = []
     for cls in missing:
         cap = min(bound, smallest[cls] - e) if cls in smallest else bound
-        values = list(range(cls + e, cap + 1, e))
+        values = sum(1 << x for x in range(cls + e, cap + 1, e))
         if not values:
             return None
         choices.append(values)
@@ -354,9 +342,9 @@ def _expand_skeleton(
             if _candidate_is_hit(e, gens):
                 hits.append(tuple(sorted(gens)))
             continue
-        for x in choices[depth]:
-            if (closure >> x) & 1:
-                break  # x is reached, and so is every later value of its class
+        # The closure holds e, so a reached value of a class leaves out every
+        # later one too: what remains is the values below the first reached.
+        for x in bits_to_tuple(choices[depth] & ~closure):
             grown = closure_bits((x,), bound, closure)
             grown_gens = gens + (x,)
             grown_bits = gen_bits | (1 << x)

@@ -66,13 +66,19 @@ def two_generator(a, b):
 
     f = ab - a - b (Sylvester), genus (a-1)(b-1)/2, the Apery set is
     {j*b : 0 <= j < a}, and j*b has order j: below ab its only
-    representation is j copies of b.
+    representation is j copies of b.  The elements of order n are the
+    i*a + (n-i)*b, so H_R(n) = n + 1 until it reaches a at n = a - 1 and
+    stays there.  The tangent cone is k[x, y]/(y^a) with x, y of degree 1,
+    a hypersurface, so it is CM.
     """
     return {
         "frobenius": a * b - a - b,
         "genus": (a - 1) * (b - 1) // 2,
         "apery": tuple(j * b for j in range(a)),
         "strata": {j: (j * b,) for j in range(1, a)},
+        "hilbert": tuple(range(1, a + 1)),
+        "stable_at": a - 1,
+        "tangent_cone_cm": True,
     }
 
 

@@ -121,6 +121,14 @@ def test_residue_table_verb(capsys):
     assert "admissible_h: 4,10" in out
 
 
+@pytest.mark.parametrize("modulus", ["13,", ",13", "x", "13,14"])
+def test_residue_table_needs_one_integer(capsys, modulus):
+    code, out, err = run(["residue-table", modulus], capsys)
+    assert code == 1
+    assert out == ""
+    assert "usage" in err
+
+
 def test_construct_sp_verb(capsys):
     code, out, _ = run(
         ["construct-sp", "--p", "6", "--k", "1", "--kprime", "0"], capsys

@@ -106,12 +106,9 @@ def test_contains_monotone_above_frobenius(study_instances):
 
 def test_horizon_extension_is_consistent():
     S = build([5, 7, 9])
-    before = S.horizon
-    bits = S.members_upto(10 * before)
-    assert S.horizon >= 10 * before
     member = oracles.members_upto([5, 7, 9], 200)
     for x in range(201):
-        assert bool((bits >> x) & 1) == member[x]
+        assert S.contains(x) == member[x]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 """Differential tests: the whole-window bitset paths against the oracles.
 
-The Apery set, membership, gaps, genus, symmetry and the Apery strata are
-computed in the package by intersections of whole-window bitsets; here each
-is compared with a slow twin in ``oracles.py``, on random small generator
-lists and on the study instances.
+The Apery set, membership, gaps, genus, symmetry, the Apery strata and the
+orders are computed in the package by intersections of whole-window bitsets
+and lookups in the tables they fill; here each is compared with a slow twin
+in ``oracles.py``, on random small generator lists and on the study
+instances.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,11 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numsem import InternalInconsistency, NonMinimal, apery_strata, build, is_symmetric
+from numsem import (
+    InternalInconsistency,
+    NonMinimal,
+    SearchConfig,
+    apery_strata,
+    audit_delta,
+    build,
+    hilbert_function,
+    is_symmetric,
+    is_tangent_cone_cm,
+    order_of,
+    order_table,
+    search_decreasing,
+    strata_tables,
+)
+from numsem import filtration, grading, search
 from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
 from numsem.core import NumericalSemigroup
 from numsem.corpus import minimalize
 
+import data
 import oracles
 
 
@@ -53,12 +71,27 @@ def check_strata(S):
     assert strata.d == max(strata.strata, default=0)
 
 
+def check_orders(S):
+    """order_of and ord_map against the array DP, on every member up to
+    f + r_stop*e and on the far reads at 2 to 4 times that bound, which the
+    order table answers from its last column."""
+    bound = S.f + strata_tables(S).r_stop * S.e
+    want = oracles.order_dp(list(S.gens), 4 * bound)
+    assert order_table(S).ord_map(bound) == {
+        s: k for s, k in enumerate(want[: bound + 1]) if k is not None
+    }
+    for s in [*range(bound + 1), *range(2 * bound, 4 * bound + 1)]:
+        if want[s] is not None:
+            assert order_of(S, s) == want[s], s
+
+
 CHECKS = [
     check_apery,
     check_contains,
     check_gaps_and_genus,
     check_symmetry,
     check_strata,
+    check_orders,
 ]
 
 
@@ -145,18 +178,23 @@ def test_minimality_test_matches_oracle(gens):
 
 def test_two_generator_closed_forms_at_scale():
     """<200, 201> against the closed forms, in well under a second (about
-    10 ms on a 2-core x86 box; a per-element bit loop over the window takes
-    about 1 s on the same semigroup)."""
+    30 ms on a 2-core x86 box, most of it the sweep of 200 levels; a
+    per-element bit loop over the window takes about 1 s on the same
+    semigroup)."""
     a, b = 200, 201
     want = oracles.two_generator(a, b)
     start = time.perf_counter()
     S = build([a, b])
     strata = apery_strata(S)
+    profile = hilbert_function(S)
     assert S.f == want["frobenius"]
     assert S.genus() == want["genus"]
     assert is_symmetric(S)
     assert S.apery().elems == want["apery"]
     assert strata.strata == want["strata"]
+    assert profile.values == want["hilbert"]
+    assert profile.stable_at == want["stable_at"]
+    assert is_tangent_cone_cm(S) == want["tangent_cone_cm"]
     assert time.perf_counter() - start < 0.5
 
 
@@ -166,10 +204,67 @@ def test_apery_theorem_check_raises(monkeypatch, shift):
     real = NumericalSemigroup._initial_table
 
     def corrupt(gens):
-        bits, horizon, f = real(gens)
-        return bits, horizon, f + shift
+        bits, f = real(gens)
+        return bits, f + shift
 
     monkeypatch.setattr(NumericalSemigroup, "_initial_table", staticmethod(corrupt))
     S = build([5, 7, 9])
     with pytest.raises(InternalInconsistency):
         S.contains(11)
+
+
+def _stall(monkeypatch):
+    """Never stabilize: level n+1 always holds 0, level n << e never does."""
+    real = grading.shift_sum
+    monkeypatch.setattr(grading, "shift_sum", lambda *args: real(*args) | 1)
+    return lambda: hilbert_function(build(list(data.E13)))
+
+
+def _feed(change):
+    """Let ``change(n, nM, (n+1)M)`` rewrite the level n+1 the table sees."""
+
+    def fixture(monkeypatch):
+        real = grading._levels
+
+        def levels(gens, f):
+            for n, here, above in real(gens, f):
+                yield n, here, change(n, here, above)
+
+        monkeypatch.setattr(grading, "_levels", levels)
+        return lambda: hilbert_function(build(list(data.E13)))
+
+    return fixture
+
+
+def _drop_c2(monkeypatch):
+    real = filtration.strata_tables
+    monkeypatch.setattr(
+        filtration,
+        "strata_tables",
+        lambda S: dataclasses.replace(real(S), c_sets={**real(S).c_sets, 2: ()}),
+    )
+    return lambda: audit_delta(build(list(data.E13)))
+
+
+def _accept_every_leaf(monkeypatch):
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda e, gens: True)
+    return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_stall, "did not stabilize"),
+        # ne leaves stratum n at every n >= 1, so H_R(r) = e - 1.
+        (_feed(lambda n, here, above: above | (here & -here) if n else above), "H_R"),
+        # The Apery element 19 of E13 never gets an order.
+        (_feed(lambda n, here, above: above | (1 << 19) if n == 1 else above), "Apery strata"),
+        (_drop_c2, "delta mismatch"),
+        (_accept_every_leaf, "re-verification"),
+    ],
+    ids=["stabilization", "hilbert_tail", "apery_strata", "delta_audit", "search_reverify"],
+)
+def test_internal_checks_raise(monkeypatch, corrupt, message):
+    """Each theorem the engine checks raises on a table that breaks it."""
+    with pytest.raises(InternalInconsistency, match=message):
+        corrupt(monkeypatch)()
