@@ -1,9 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from numsem import UsageError
-from numsem.cli import Report, execute, main, parse, render
+from numsem.cli import _CHECKS, Report, execute, main, parse, render
 
 import data
 
@@ -175,3 +177,51 @@ def test_strata_max_level_flag(capsys):
     assert "c_sets.3: 57,62,67,72" in out
     assert "c_sets.4" not in out
     assert "d_sets.4" not in out
+
+
+# -- frozen output --------------------------------------------------------------
+
+_GOLDEN = Path(__file__).with_name("cli_digests.json")
+_VIEWS = [("info",), ("apery",), ("hilbert",), ("strata",), ("strata", "--max-level", "3")]
+
+
+def golden_argvs():
+    """Every argument vector whose output the golden digests freeze."""
+    instances = list(data.ALL_STUDY_INSTANCES)
+    instances += [gens for _, gens in sorted(data.SP_FAMILY.values())]
+    seen = {}
+    for gens in instances:
+        text = ",".join(map(str, gens))
+        argvs = [[view[0], text, *view[1:]] for view in _VIEWS]
+        argvs += [["check", what, text] for what in _CHECKS]
+        for argv in argvs:
+            seen[" ".join(argv)] = argv
+    for argv in (
+        ["residue-table", "13"],
+        ["construct-sp", "--p", "6", "--k", "1", "--kprime", "0"],
+        ["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "4e"],
+    ):
+        seen[" ".join(argv)] = argv
+    return list(seen.values())
+
+
+def output_digests(capsys) -> dict:
+    """sha256 of exit code, stdout and stderr per (argv, format)."""
+    digests = {}
+    for argv in golden_argvs():
+        for fmt in ("text", "json"):
+            full = argv + ["--format", fmt]
+            code, out, err = run(full, capsys)
+            blob = "%d\n%s\n%s" % (code, out, err)
+            digests[" ".join(full)] = hashlib.sha256(blob.encode()).hexdigest()
+    return digests
+
+
+def test_cli_output_is_frozen(capsys):
+    """Text and JSON output of every verb stay byte-identical to the frozen run."""
+    want = json.loads(_GOLDEN.read_text())
+    got = output_digests(capsys)
+    assert sorted(got) == sorted(want)
+    changed = [argv for argv in want if got[argv] != want[argv]]
+    assert not changed, "output changed for %d of %d: %s" % (
+        len(changed), len(want), changed[:5])
