@@ -29,6 +29,7 @@ from .errors import (
     InvalidGenerator,
     NonMinimal,
     NotMember,
+    ResourceLimit,
     SemigroupError,
     UsageError,
 )

@@ -4,15 +4,17 @@ Verbs: info, apery, hilbert, strata, check, residue-table, construct-sp,
 search.  Output is deterministic byte for byte: identical inputs produce
 identical text, JSON, or CSV, whatever the worker count.
 
-Exit codes: 0 success, 1 input/validation error, 2 not-applicable (a check
-whose hypotheses the semigroup does not satisfy).
+Exit codes: 0 success, 1 input/validation error (ResourceLimit included:
+generators whose e * max(gens) exceeds the fixed window budget), 2
+not-applicable (a check whose hypotheses the semigroup does not satisfy).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 
 from .core import NumericalSemigroup, build, parse_generators
 from .errors import HypothesisFailed, SemigroupError, UsageError
@@ -166,119 +168,57 @@ def parse(argv: list[str]) -> Command:
 
 # -- serialization -------------------------------------------------------------
 
-
-def _hilbert_dict(profile) -> dict:
-    return {
-        "values": list(profile.values),
-        "stable_at": profile.stable_at,
-        "decreasing_levels": list(profile.decreasing_levels),
-    }
+# Properties a result carries into its payload after its fields.
+_DERIVED = ("consistent", "ok")
+# Values a payload carries as they are.
+_PLAIN = frozenset({bool, int, str, type(None)})
 
 
-def _strata_dict(strata) -> dict:
-    return {
-        "d": strata.d,
-        "h_r_prime": list(strata.h_r_prime),
-        "strata": {str(k): list(v) for k, v in sorted(strata.strata.items())},
-    }
+@cache
+def _layout(cls) -> tuple[str, ...] | None:
+    """Payload keys of a result type, None when it is not a dataclass."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(f.name for f in fields(cls)) + tuple(n for n in _DERIVED if hasattr(cls, n))
 
 
-def _tables_dicts(tables, max_level=None) -> tuple[dict, dict, dict]:
-    keep = lambda k: max_level is None or k <= max_level
-    d_sets = {str(k): list(v) for k, v in sorted(tables.d_sets.items()) if keep(k)}
-    c_sets = {str(k): list(v) for k, v in sorted(tables.c_sets.items()) if keep(k)}
-    d_split = {
-        str(k): {str(t): list(v) for t, v in sorted(split.items())}
-        for k, split in sorted(tables.d_split.items())
-        if keep(k)
-    }
-    return d_sets, c_sets, d_split
-
-
-def _verdict_dicts(S: NumericalSemigroup) -> dict:
-    report = classification_report(S)
-    out = {
-        "symmetric": report.symmetric,
-        "c3_pattern": None
-        if report.c3_pattern is None
-        else {"witnesses": [list(w) for w in report.c3_pattern.witnesses]},
-        "ap24_case": None
-        if report.ap24_case is None
-        else {
-            "case": report.ap24_case.case,
-            "witnesses": [list(w) for w in report.ap24_case.witnesses],
-            "equality": report.ap24_case.equality,
-            "all_cases": list(report.ap24_case.all_cases),
-        },
-        "offset3": _offset3_dict(report.offset3),
-        "offset4": _offset4_dict(report.offset4),
-        "chain": _chain_dict(report.chain),
-        "power_tail": _tail_dict(report.power_tail),
-        "sp_params": None
-        if report.sp_params is None
-        else {
-            "p": report.sp_params.p,
-            "k": report.sp_params.k,
-            "kprime": report.sp_params.kprime,
-            "alpha": report.sp_params.alpha,
-            "beta": report.sp_params.beta,
-            "gamma": report.sp_params.gamma,
-        },
-    }
+def _encode(value):
+    """Payload form of a result: a dataclass becomes its fields in declaration
+    order followed by any _DERIVED property it has, tuples become lists, and
+    dicts get string keys in sorted order."""
+    kind = type(value)
+    if kind is tuple:
+        # A flat tuple of ints converts in one call, not one per int.
+        if value and type(value[0]) is not int:
+            return [_encode(x) for x in value]
+        return list(value)
+    if kind is dict:
+        return {str(k): _encode(v) for k, v in sorted(value.items())}
+    layout = _layout(kind)
+    if layout is None:
+        return value
+    out = {}
+    for name in layout:
+        # Most fields are plain: skipping the call for them keeps `info`
+        # about as fast as hand-written dicts.
+        item = getattr(value, name)
+        out[name] = item if type(item) in _PLAIN else _encode(item)
     return out
 
 
-def _offset3_dict(v) -> dict:
-    return {
-        "applicable": v.applicable,
-        "decreasing": v.decreasing,
-        "decreasing_at_2": v.decreasing_at_2,
-        "short_profile": v.short_profile,
-        "pattern": v.pattern,
-        "witnesses": [list(w) for w in v.witnesses],
-        "consistent": v.consistent,
-    }
+def _strata_dict(S: NumericalSemigroup) -> dict:
+    """The Apery strata, keyed d, h_r_prime, strata (not their field order)."""
+    strata = _encode(apery_strata(S))
+    return {key: strata[key] for key in ("d", "h_r_prime", "strata")}
 
 
-def _offset4_dict(v) -> dict:
-    return {
-        "applicable": v.applicable,
-        "profile": None if v.profile is None else list(v.profile),
-        "decreasing": v.decreasing,
-        "target_decrease": v.target_decrease,
-        "pattern": v.pattern,
-        "witnesses": [list(w) for w in v.witnesses],
-        "level": v.level,
-        "consistent": v.consistent,
-    }
-
-
-def _chain_dict(v) -> dict:
-    return {
-        "applicable": v.applicable,
-        "ell": v.ell,
-        "d": v.d,
-        "witnesses": [list(w) for w in v.witnesses],
-        "ell_at_most_d": v.ell_at_most_d,
-        "chain_ok": v.chain_ok,
-        "power_in_d_ell": v.power_in_d_ell,
-        "tail_ok": v.tail_ok,
-        "d_ell_pattern_ok": v.d_ell_pattern_ok,
-        "not_symmetric": v.not_symmetric,
-        "ok": v.ok,
-    }
-
-
-def _tail_dict(v) -> dict:
-    return {
-        "applicable": v.applicable,
-        "r0": v.r0,
-        "d": v.d,
-        "witness": v.witness,
-        "tail_ok": v.tail_ok,
-        "head_ok": v.head_ok,
-        "ok": v.ok,
-    }
+def _tables_dict(S: NumericalSemigroup, max_level=None) -> dict:
+    """The D_k / C_k / D_k^t tables, without the levels above max_level."""
+    tables = _encode(strata_tables(S))
+    if max_level is not None:
+        for key in ("d_sets", "c_sets", "d_split"):
+            tables[key] = {k: v for k, v in tables[key].items() if int(k) <= max_level}
+    return tables
 
 
 def _base_payload(S: NumericalSemigroup) -> dict:
@@ -314,17 +254,11 @@ def _dispatch(cmd: Command) -> Report:
         rows = residue_table(cmd.gens[0])
         payload = {
             "e": cmd.gens[0],
-            "rows": [
-                {
-                    "h": r.h,
-                    "base_classes": list(r.base_classes),
-                    "extra_classes": list(r.extra_classes),
-                    "admissible": r.admissible,
-                }
-                for r in rows
-            ],
+            "rows": [_encode(r) for r in rows],
             "admissible_h": [r.h for r in rows if r.admissible],
         }
+        for row in payload["rows"]:
+            del row["e"]
         return Report(payload)
 
     if cmd.verb == "construct-sp":
@@ -341,19 +275,11 @@ def _dispatch(cmd: Command) -> Report:
         )
         gens = sp_generator_list(params)
         S = construct_sp(params)
-        profile = hilbert_function(S)
         payload = {
-            "params": {
-                "p": params.p,
-                "k": params.k,
-                "kprime": params.kprime,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-            },
+            "params": _encode(params),
             "generators_as_constructed": list(gens),
             **_base_payload(S),
-            "hilbert": _hilbert_dict(profile),
+            "hilbert": _encode(hilbert_function(S)),
             "symmetric": is_symmetric(S),
         }
         return Report(payload)
@@ -366,17 +292,12 @@ def _dispatch(cmd: Command) -> Report:
         if not sep or not lo.isdigit() or not hi.isdigit():
             raise UsageError("--e-range must look like LO..HI")
         bound_text = cmd.flags.get("gen_bound", "20e")
-        kwargs = {}
-        if bound_text.endswith("e"):
-            try:
-                kwargs["gen_bound_per_e"] = int(bound_text[:-1])
-            except ValueError:
-                raise UsageError("--gen-bound must be an integer or Ne form")
-        else:
-            try:
-                kwargs["gen_bound"] = int(bound_text)
-            except ValueError:
-                raise UsageError("--gen-bound must be an integer or Ne form")
+        per_e = bound_text.endswith("e")
+        try:
+            bound = int(bound_text[:-1] if per_e else bound_text)
+        except ValueError:
+            raise UsageError("--gen-bound must be an integer or Ne form") from None
+        kwargs = {"gen_bound_per_e" if per_e else "gen_bound": bound}
         config = SearchConfig(
             e_range=(int(lo), int(hi)),
             v_offset=cmd.flags["v_offset"],
@@ -385,7 +306,7 @@ def _dispatch(cmd: Command) -> Report:
         )
         results = search_decreasing(config)
         payload = {
-            "e_range": [config.e_range[0], config.e_range[1]],
+            "e_range": list(config.e_range),
             "v_offset": config.v_offset,
             "count": len(results),
             "results": [
@@ -393,7 +314,7 @@ def _dispatch(cmd: Command) -> Report:
                     "generators": list(S.gens),
                     "e": S.e,
                     "v": S.v,
-                    "hilbert": _hilbert_dict(hilbert_function(S)),
+                    "hilbert": _encode(hilbert_function(S)),
                 }
                 for S in results
             ],
@@ -408,40 +329,30 @@ def _dispatch(cmd: Command) -> Report:
         return Report(payload)
 
     if cmd.verb == "hilbert":
-        payload = {**_base_payload(S), "hilbert": _hilbert_dict(hilbert_function(S))}
+        payload = {**_base_payload(S), "hilbert": _encode(hilbert_function(S))}
         return Report(payload)
 
     if cmd.verb == "strata":
-        tables = strata_tables(S)
-        d_sets, c_sets, d_split = _tables_dicts(tables, cmd.flags.get("max_level"))
         payload = {
             **_base_payload(S),
-            "ap_strata": _strata_dict(apery_strata(S)),
-            "d_sets": d_sets,
-            "c_sets": c_sets,
-            "d_split": d_split,
-            "k0": tables.k0,
-            "r_stop": tables.r_stop,
+            "ap_strata": _strata_dict(S),
+            **_tables_dict(S, cmd.flags.get("max_level")),
         }
         return Report(payload)
 
     if cmd.verb == "info":
         profile = hilbert_function(S)
-        tables = strata_tables(S)
-        d_sets, c_sets, d_split = _tables_dicts(tables)
         payload = {
             **_base_payload(S),
             "apery": list(S.apery().elems),
-            "ap_strata": _strata_dict(apery_strata(S)),
-            "hilbert": _hilbert_dict(profile),
-            "d_sets": d_sets,
-            "c_sets": c_sets,
-            "d_split": d_split,
-            "k0": tables.k0,
+            "ap_strata": _strata_dict(S),
+            "hilbert": _encode(profile),
+            **_tables_dict(S),
             "decreasing_levels": list(profile.decreasing_levels),
             "tangent_cone_cm": is_tangent_cone_cm(S),
-            "classification": _verdict_dicts(S),
+            "classification": _encode(classification_report(S)),
         }
+        del payload["r_stop"]
         return Report(payload)
 
     if cmd.verb == "check":
@@ -450,54 +361,38 @@ def _dispatch(cmd: Command) -> Report:
     raise UsageError("unknown verb %r" % cmd.verb)  # pragma: no cover
 
 
+# Checks whose verdict has a hypothesis: exit 2 when it is not applicable.
+_DETECTORS = {
+    "offset-3": check_offset3,
+    "offset-4": check_offset4,
+    "chain": check_chain_structure,
+    "apery-tail": check_power_apery_tail,
+}
+
+
 def _run_check(what: str, S: NumericalSemigroup) -> Report:
-    base = _base_payload(S)
+    base = {**_base_payload(S), "check": what}
+    if what in _DETECTORS:
+        verdict = _DETECTORS[what](S)
+        return Report({**base, **_encode(verdict)}, [], 0 if verdict.applicable else 2)
     if what == "symmetric":
-        return Report({**base, "check": what, "symmetric": is_symmetric(S)})
+        return Report({**base, "symmetric": is_symmetric(S)})
     if what == "cm":
-        return Report({**base, "check": what, "tangent_cone_cm": is_tangent_cone_cm(S)})
+        return Report({**base, "tangent_cone_cm": is_tangent_cone_cm(S)})
     if what == "delta":
-        audit = audit_delta(S)
-        levels = {str(k): list(v) for k, v in sorted(audit.levels.items())}
-        return Report({**base, "check": what, "levels": levels, "ok": audit.ok})
+        return Report({**base, **_encode(audit_delta(S))})
     if what == "c3":
         pattern = classify_c3(S)
         found = pattern is not None
-        payload = {
-            **base,
-            "check": what,
-            "found": found,
-            "witnesses": [list(w) for w in pattern.witnesses] if found else [],
-        }
-        return Report(payload)
+        witnesses = _encode(pattern.witnesses) if found else []
+        return Report({**base, "found": found, "witnesses": witnesses})
     if what == "ap2-4":
         match = match_ap2_size4_case(S)
-        payload = {
-            **base,
-            "check": what,
-            "found": match is not None,
-        }
+        payload = {**base, "found": match is not None}
         if match is not None:
-            payload["case"] = match.case
-            payload["witnesses"] = [list(w) for w in match.witnesses]
-            payload["equality"] = match.equality
+            payload.update(_encode(match))
+            del payload["all_cases"]
         return Report(payload)
-    if what == "offset-3":
-        verdict = check_offset3(S)
-        payload = {**base, "check": what, **_offset3_dict(verdict)}
-        return Report(payload, [], 0 if verdict.applicable else 2)
-    if what == "offset-4":
-        verdict = check_offset4(S)
-        payload = {**base, "check": what, **_offset4_dict(verdict)}
-        return Report(payload, [], 0 if verdict.applicable else 2)
-    if what == "chain":
-        verdict = check_chain_structure(S)
-        payload = {**base, "check": what, **_chain_dict(verdict)}
-        return Report(payload, [], 0 if verdict.applicable else 2)
-    if what == "apery-tail":
-        verdict = check_power_apery_tail(S)
-        payload = {**base, "check": what, **_tail_dict(verdict)}
-        return Report(payload, [], 0 if verdict.applicable else 2)
     raise UsageError("unknown check %r" % what)  # pragma: no cover
 
 

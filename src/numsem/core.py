@@ -31,6 +31,7 @@ from .errors import (
     InternalInconsistency,
     InvalidGenerator,
     NonMinimal,
+    ResourceLimit,
 )
 
 __all__ = [
@@ -43,6 +44,11 @@ __all__ = [
     "gaps",
     "parse_generators",
 ]
+
+# e * max(gens) bounds every window the package allocates: validation spans
+# max(gens) bits, the membership table (e-1) * max(gens), and the Apery
+# columns of the level sweep at most 8 * e**2 bytes.
+_WINDOW_BUDGET = 1 << 24
 
 
 def parse_generators(text: str) -> list[int]:
@@ -116,6 +122,12 @@ class NumericalSemigroup:
         for g in raw:
             if not isinstance(g, int) or isinstance(g, bool) or g <= 0:
                 raise InvalidGenerator("generator %r is not a positive integer" % (g,))
+        e, top = min(raw), max(raw)
+        if e * top > _WINDOW_BUDGET:
+            raise ResourceLimit(
+                "multiplicity %d times largest generator %d exceeds the window budget %d"
+                % (e, top, _WINDOW_BUDGET)
+            )
         ordered = sorted(raw)
         for a, b in zip(ordered, ordered[1:]):
             if a == b:

@@ -37,6 +37,10 @@ class BadRange(SemigroupError):
     """A numeric argument is outside its allowed range."""
 
 
+class ResourceLimit(SemigroupError):
+    """The generators would need a window larger than the fixed budget."""
+
+
 class HypothesisFailed(SemigroupError):
     """The semigroup does not satisfy the precondition of a detector."""
 

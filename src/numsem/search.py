@@ -27,6 +27,7 @@ Three layers:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -501,11 +502,14 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
         return []
     tasks = _tasks_for(config)
     raw: set[tuple[int, ...]] = set()
-    if config.workers == 1 or len(tasks) <= 1:
+    # A fork pool starts all of its workers at once, so never ask for more
+    # than there are tasks or CPUs.
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         for task in tasks:
             raw.update(_run_task(task))
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_task, tasks, chunksize=8):
                 raw.update(chunk)
     out = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from numsem import (
     GcdNotOne,
     InvalidGenerator,
     NonMinimal,
+    ResourceLimit,
     build,
     parse_generators,
 )
@@ -47,6 +50,19 @@ def test_build_rejects_duplicates_and_junk():
         build([0, 3])
     with pytest.raises(InvalidGenerator):
         build([-2, 3])
+
+
+def test_build_refuses_windows_over_budget():
+    """e * max(gens) = 2**24 + 2 is refused before any window is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="8388609"):
+            build([2, (1 << 23) + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the window alone would take 1 MiB
+    assert build([2, (1 << 23) - 1]).f == (1 << 23) - 3  # f = b - 2 for <2, b>
 
 
 def test_build_accepts_naturals():

@@ -20,6 +20,7 @@ from numsem import (
     sp_generator_list,
     strata_tables,
 )
+from numsem import search
 from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
 
 import data
@@ -245,3 +246,33 @@ def test_search_offset4_worker_determinism():
     csv2 = search_results_csv(search_decreasing(cfg2))
     assert csv1 == csv2
     assert csv1.count("\n") == 3
+
+
+def test_search_workers_capped_at_cpu_count(monkeypatch):
+    """A worker count far above the CPU count asks the pool for the CPU count.
+
+    The pool is replaced by an in-process stand-in and the CPU count by 3,
+    so no process starts.
+    """
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    wide = search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4, workers=10**6))
+    assert asked == [3]
+    serial = search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4, workers=1))
+    assert asked == [3]
+    assert [S.gens for S in wide] == [S.gens for S in serial]
