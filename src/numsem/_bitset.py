@@ -1,7 +1,7 @@
 """Bitset helpers: subsets of [0, limit] packed into a single Python int.
 
 Bit x of a bitset is set iff x belongs to the subset.  All the heavy
-arithmetic of the package (membership tables, the Apery set, the order
+arithmetic of the package (the closure at construction, the order
 filtration) runs on these, because shifting an int by a generator and
 AND/OR-ing is a whole-window operation at C speed.
 
@@ -71,6 +71,15 @@ def largest_missing(bits: int, limit: int) -> int:
     """Largest x in [0, limit] whose bit is clear, or -1 if none."""
     comp = ~bits & window_mask(limit)
     return comp.bit_length() - 1
+
+
+def class_table(column: int, e: int) -> array:
+    """The element of each class mod e of ``column``, which holds at most one
+    per class, indexed by class and packed 8 bytes a class; an empty class reads 0."""
+    table = array("q", bytes(8 * e))
+    for w in bits_to_tuple(column):
+        table[w % e] = w
+    return table
 
 
 def bits_to_tuple(bits: int) -> tuple[int, ...]:

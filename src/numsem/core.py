@@ -6,25 +6,20 @@ element is the multiplicity e, the number of minimal generators is the
 embedding dimension v, and the largest integer outside the semigroup is the
 Frobenius number f.
 
-The Apery set is read off a membership bitset over a window fixed at
-construction, [0, (e-1)*max(gens)], which holds f + e.  Membership itself is
-a lookup in the Apery set, with no window.
+A semigroup keeps only its Apery table: the Apery element of each residue
+class mod e.  Construction closes the generators once over a window of
+(e-1)*max(gens) bits, which holds f + e, reads the minimality test, f and the
+Apery table off that transient closure, and drops it.  Membership, gaps and
+genus are read off the table, with no window.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._bitset import (
-    bits_to_tuple,
-    closure_bits,
-    irreducible_bits,
-    largest_missing,
-    window_mask,
-)
+from ._bitset import class_table, closure_bits, irreducible_bits, largest_missing, window_mask
 from .errors import (
     EmptyGenerators,
     GcdNotOne,
@@ -45,9 +40,10 @@ __all__ = [
     "parse_generators",
 ]
 
-# e * max(gens) bounds every window the package allocates: validation spans
-# max(gens) bits, the membership table (e-1) * max(gens), and the Apery
-# columns of the level sweep at most 8 * e**2 bytes.
+# e * max(gens) bounds every window the package allocates: the closure at
+# construction spans (e-1) * max(gens) bits and is dropped once the Apery
+# table is read off it; the level sweep's windows are at most e**2 bits wider,
+# and its cached Apery columns take at most 8 * e**2 bytes.
 _WINDOW_BUDGET = 1 << 24
 
 
@@ -91,31 +87,14 @@ class NumericalSemigroup:
 
     The constructor validates the generator list: it must be non-empty,
     positive, have gcd 1, and be minimal (no generator representable by the
-    others).  Instances are immutable: the Apery table and the order table
-    (``grading.order_table``) are computed on first use and kept, and a race
-    between two threads only computes them twice.
+    others).  Instances are immutable.  An instance keeps its Apery table,
+    built with it; the closure it is read off is dropped.  Only the order
+    table (``grading.order_table``) is computed on first use and cached.
     """
 
-    __slots__ = ("gens", "e", "v", "f", "_bits", "_ap_class", "_order_table")
+    __slots__ = ("gens", "e", "v", "f", "_ap_class", "_order_table")
 
     def __init__(self, gens: Iterable[int]):
-        cleaned = self._validate(gens)
-        object.__setattr__(self, "gens", cleaned)
-        object.__setattr__(self, "e", cleaned[0])
-        object.__setattr__(self, "v", len(cleaned))
-        bits, f = self._initial_table(cleaned)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_ap_class", None)
-        object.__setattr__(self, "_order_table", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("NumericalSemigroup is immutable")
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def _validate(gens: Iterable[int]) -> tuple[int, ...]:
         raw = list(gens)
         if not raw:
             raise EmptyGenerators("generator list is empty")
@@ -135,29 +114,45 @@ class NumericalSemigroup:
         common = math.gcd(*ordered)
         if common != 1:
             raise GcdNotOne("gcd of %s is %d" % (ordered, common))
+        # Every residue class mod e is reached with at most e - 1 generators,
+        # so f + e <= (e - 1) * top < cutoff; the window also covers [0, top].
+        cutoff = max(e - 1, 1) * top + 1
+        bits = closure_bits(ordered, cutoff)
         # A generator is redundant iff the others already reach it, i.e. iff
         # it is a sum of two nonzero members; report the smallest such.
-        limit = ordered[-1]
         gen_bits = 0
         for g in ordered:
             gen_bits |= 1 << g
-        closure = closure_bits(ordered, limit)
-        redundant = gen_bits & ~irreducible_bits(closure, ordered, window_mask(limit))
+        prefix = window_mask(top)
+        redundant = gen_bits & ~irreducible_bits(bits & prefix, ordered, prefix)
         if redundant:
             g = (redundant & -redundant).bit_length() - 1
             raise NonMinimal("generator %d is a sum of the others" % g)
-        return tuple(ordered)
+        f = largest_missing(bits, cutoff)
+        object.__setattr__(self, "gens", tuple(ordered))
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "v", len(ordered))
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_order_table", None)
+        # The Apery set is the members s with s - e outside.  The theorems
+        # that pin it down: e elements, one per class, 0 and maximum f + e.
+        column = bits & ~(bits << e) & window_mask(f + e)
+        ap_class = class_table(column, e)
+        if (
+            column.bit_count() != e
+            or not column & 1
+            or ap_class[0]
+            or ap_class.count(0) != 1
+            or column.bit_length() != f + e + 1
+        ):
+            raise InternalInconsistency(
+                "Apery set of %r is not e = %d elements, one per class, from 0 to f + e"
+                % (self, e)
+            )
+        object.__setattr__(self, "_ap_class", ap_class)
 
-    @staticmethod
-    def _initial_table(gens: tuple[int, ...]) -> tuple[int, int]:
-        """(membership bitset over [0, cutoff], Frobenius number).
-
-        Every residue class mod e is reached with at most e - 1 generators,
-        so f + e <= (e - 1) * max(gens) < cutoff.
-        """
-        cutoff = (gens[0] - 1) * gens[-1] + 1
-        bits = closure_bits(gens, cutoff)
-        return bits, largest_missing(bits, cutoff)
+    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+        raise AttributeError("NumericalSemigroup is immutable")
 
     # -- membership --------------------------------------------------------
 
@@ -168,8 +163,7 @@ class NumericalSemigroup:
         w + e, w + 2e, ..., so s is a member iff s >= w.  Negative integers
         fall below every Apery element and are never members.
         """
-        ap_class = self._ap_class or self._compute_apery()
-        return s >= ap_class[s % self.e]
+        return s >= self._ap_class[s % self.e]
 
     __contains__ = contains
 
@@ -181,40 +175,19 @@ class NumericalSemigroup:
 
     def apery(self) -> AperySet:
         """Apery set with respect to the multiplicity."""
-        return AperySet(tuple(sorted(self._ap_class or self._compute_apery())))
-
-    def _apery_bits(self) -> int:
-        """Bitset of the members s with s - e not a member, all within [0, f + e]."""
-        bits = self._bits
-        return bits & ~(bits << self.e) & window_mask(self.f + self.e)
-
-    def _compute_apery(self) -> array:
-        """The Apery element of each residue class mod e, indexed by class.
-
-        Computed on first use and kept, packed at 8 bytes a class (a race
-        only computes it twice).
-        Checks the theorems that pin the set down: it has e elements, one
-        per class, contains 0 and has maximum f + e.
-        """
-        e, top = self.e, self.f + self.e
-        elems = bits_to_tuple(self._apery_bits())
-        by_class = {w % e: w for w in elems}
-        if len(elems) != e or len(by_class) != e or (elems[0], elems[-1]) != (0, top):
-            raise InternalInconsistency(
-                "Apery set of %r is not e = %d elements, one per class, from 0 to f + e"
-                % (self, e)
-            )
-        ap_class = array("q", (by_class[r] for r in range(e)))
-        object.__setattr__(self, "_ap_class", ap_class)
-        return ap_class
+        return AperySet(tuple(sorted(self._ap_class)))
 
     def gaps(self) -> set[int]:
-        """The finite complement of the semigroup in the naturals."""
-        return set(bits_to_tuple(~self._bits & window_mask(self.f)))
+        """The finite complement of the semigroup in the naturals: in each
+        residue class, the integers below its Apery element."""
+        e = self.e
+        return {x for c, w in enumerate(self._ap_class) for x in range(c, w, e)}
 
     def genus(self) -> int:
-        """Number of gaps: f + 1 minus the members in [0, f]."""
-        return self.f + 1 - (self._bits & window_mask(self.f)).bit_count()
+        """Number of gaps, by Selmer's formula g = (sum(Ap) - e(e-1)/2) / e
+        (Rosales and Garcia-Sanchez, Numerical Semigroups, 2009, Prop. 2.12)."""
+        e = self.e
+        return (sum(self._ap_class) - e * (e - 1) // 2) // e
 
     # -- plumbing ------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from ._bitset import bits_to_tuple, closure_bits, shift_sum, window_mask
+from ._bitset import bits_to_tuple, class_table, closure_bits, shift_sum, window_mask
 from .core import NumericalSemigroup
 from .errors import BadLevel, InternalInconsistency, NotMember
 
@@ -143,8 +143,8 @@ class OrderTable:
     """What one sweep of the order filtration of S records.
 
     ``columns[h][c]`` is the smallest element of hM in residue class c mod e,
-    for h = 0 .. ``stable_from`` (column 0 is the Apery set), packed 8 bytes
-    a class.  ``hilbert``, ``tables`` and ``apery_strata`` are what
+    for h = 0 .. ``stable_from``, packed 8 bytes a class; column 0 is the
+    Apery table S keeps.  ``hilbert``, ``tables`` and ``apery_strata`` are what
     ``hilbert_function``, ``strata_tables`` and ``apery_strata`` return.
 
     The sets that a level resolves only later are kept as pending bits and
@@ -171,13 +171,11 @@ class OrderTable:
             stratum = here & ~above
             values.append(stratum.bit_count())
             column = here & ~(here << e)
-            packed = array("q", bytes(8 * e))
-            for w in bits_to_tuple(column):
-                packed[w % e] = w
-            columns.append(packed)
             if n == 0:
+                columns.append(S._ap_class)
                 pending = column & ~1
             else:
+                columns.append(class_table(column, e))
                 c_sets[n] = bits_to_tuple(stratum & ~(below << e))
                 if part := pending & stratum:
                     apery_parts[n] = bits_to_tuple(part)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ._bitset import (
     bits_to_tuple,
+    class_table,
     closure_bits,
     irreducible_bits,
     largest_missing,
@@ -297,11 +298,12 @@ def _completion_candidates(
     e.  A class whose smallest element lies above the window keeps every
     value up to ``bound``: that cap cuts no value of the class.
     """
-    # The skeleton holds e, so a class's smallest element x has x - e outside.
-    smallest = {x % e: x for x in bits_to_tuple(closure & ~(closure << e))}
+    # The skeleton holds e, so a class's smallest element x has x - e outside;
+    # a nonzero class reads 0 when the window holds none of it.
+    smallest = class_table(closure & ~(closure << e), e)
     choices: list[int] = []
     for cls in missing:
-        cap = min(bound, smallest[cls] - e) if cls in smallest else bound
+        cap = min(bound, smallest[cls] - e) if smallest[cls] else bound
         values = sum(1 << x for x in range(cls + e, cap + 1, e))
         if not values:
             return None

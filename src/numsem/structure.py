@@ -49,6 +49,17 @@ def _ap1(S: NumericalSemigroup) -> tuple[int, ...]:
     return apery_strata(S).strata.get(1, ())
 
 
+def _roles(ap1: tuple[int, ...], target: set[int]) -> tuple[int, ...]:
+    """The elements of Ap_1 that are halves x/2 of elements x of ``target``, or
+    differences x - h with h such a half, ascending.  Every shape below doubles
+    a generator into its pinning set (C_2 or Ap_2), and every other role meets
+    a doubled one in a sum there, so tuples of the roles find the witnesses
+    that tuples of Ap_1 find, in the same order, at O(|target|^2) cost."""
+    members = set(ap1)
+    halves = {x // 2 for x in target if not x % 2 and x // 2 in members}
+    return tuple(sorted(halves | {x - h for x in target for h in halves} & members))
+
+
 def _set(tables, which: str, k: int) -> set[int]:
     store = tables.c_sets if which == "c" else tables.d_sets
     return set(store.get(k, ()))
@@ -79,7 +90,7 @@ def classify_c3(S: NumericalSemigroup) -> C3Pattern | None:
         return None
     c2 = _set(tables, "c", 2)
     wits = []
-    for a, b in combinations(_ap1(S), 2):
+    for a, b in combinations(_roles(_ap1(S), c2), 2):
         if c2 == {2 * a, a + b, 2 * b} and c3 == {3 * a, 2 * a + b, a + 2 * b, 3 * b}:
             wits.append((a, b))
     if not wits:
@@ -106,7 +117,8 @@ class Ap24Match:
 
 def _ap24_candidates(ap1, ap2, c3):
     """Yield (case tag, role tuple, whether C_3 fills the candidate set)."""
-    for a, b, c in permutations(ap1, 3):
+    roles = _roles(ap1, ap2)
+    for a, b, c in permutations(roles, 3):
         # (a): 2a, a+b, a+c, b+c with triple-supported C_3
         if b < c and ap2 == {2 * a, a + b, a + c, b + c}:
             cand = {a + b + c, 3 * a, 2 * a + b, 2 * a + c}
@@ -128,7 +140,8 @@ def _ap24_candidates(ap1, ap2, c3):
             if c3 == cand:
                 yield "e", (a, b, c), True
     # (c): 2a, a+b, 2b, h+k with {h, k} disjoint from the pattern pair
-    for a, b in combinations(ap1, 2):
+    members = set(ap1)
+    for a, b in combinations(roles, 2):
         if {2 * a, a + b, 2 * b} <= ap2:
             rest = ap2 - {2 * a, a + b, 2 * b}
             if len(rest) != 1:
@@ -137,10 +150,9 @@ def _ap24_candidates(ap1, ap2, c3):
             cand = {3 * a, 2 * a + b, a + 2 * b, 3 * b}
             if c3 != cand:
                 continue
-            for h, k in combinations(ap1, 2):
-                if {h, k} & {a, b}:
-                    continue
-                if h + k == extra:
+            for h in ap1:
+                k = extra - h
+                if h < k and k in members and not {h, k} & {a, b}:
                     yield "c", (a, b, h, k), True
 
 
@@ -205,7 +217,7 @@ def check_offset3(S: NumericalSemigroup) -> Offset3Verdict:
     c2, c3 = _set(tables, "c", 2), _set(tables, "c", 3)
     d2_shift = {x + S.e for x in _set(tables, "d", 2)}
     wits = []
-    for a, b in combinations(_ap1(S), 2):
+    for a, b in combinations(_roles(_ap1(S), c2), 2):
         want3 = {3 * a, 2 * a + b, a + 2 * b, 3 * b}
         if c2 == {2 * a, a + b, 2 * b} and c3 == want3 and d2_shift == want3:
             wits.append((a, b))
@@ -270,7 +282,7 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
         c3 = _set(tables, "c", 3)
         d2_shift = {x + S.e for x in _set(tables, "d", 2)}
         wits = []
-        for a, b, c in permutations(ap1, 3):
+        for a, b, c in permutations(_roles(ap1, ap2), 3):
             pat1 = ap2 == {2 * a, a + b, 2 * b, a + c} and c3 == d2_shift == {
                 3 * a,
                 2 * a + b,
@@ -301,7 +313,7 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
         c3 = _set(tables, "c", 3)
         wits = []
         level = None
-        for a, b in permutations(ap1, 2):
+        for a, b in permutations(_roles(ap1, ap2), 2):
             if ap2 != {2 * a, a + b, 2 * b}:
                 continue
             if c3 != {3 * a, 2 * a + b, a + 2 * b, 3 * b}:
@@ -371,7 +383,7 @@ def check_chain_structure(S: NumericalSemigroup) -> ChainReport:
     wits = []
     any_pattern = False
     any_tail = False
-    for a, b in permutations(_ap1(S), 2):
+    for a, b in permutations(_roles(_ap1(S), _set(tables, "c", 2)), 2):
         chain_ok = all(
             _set(tables, "c", r) == {(r - m) * a + m * b for m in range(r + 1)}
             for r in range(2, ell + 1)

@@ -65,6 +65,19 @@ def test_build_refuses_windows_over_budget():
     assert build([2, (1 << 23) - 1]).f == (1 << 23) - 3  # f = b - 2 for <2, b>
 
 
+def test_build_keeps_no_window():
+    """<1000, 1001> is closed over a 1M-bit window; only its 8 KB Apery
+    table outlives the build."""
+    tracemalloc.start()
+    try:
+        S = build([1000, 1001])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert S.f == 998999
+    assert held < 32 * 1024
+
+
 def test_build_accepts_naturals():
     S = build([1])
     assert (S.e, S.v, S.f) == (1, 1, -1)
@@ -150,7 +163,7 @@ def test_build_accepts_exactly_minimal_sets(values):
 
 
 def test_shared_instance_is_thread_safe(e13):
-    """Concurrent readers agree with a fresh copy (windows may extend)."""
+    """Concurrent readers agree with a fresh copy."""
     import threading
 
     from numsem import hilbert_function, order_of

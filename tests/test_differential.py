@@ -30,9 +30,8 @@ from numsem import (
     search_decreasing,
     strata_tables,
 )
-from numsem import filtration, grading, search
+from numsem import core, filtration, grading, search
 from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
-from numsem.core import NumericalSemigroup
 from numsem.corpus import minimalize
 
 import data
@@ -200,17 +199,11 @@ def test_two_generator_closed_forms_at_scale():
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_apery_theorem_check_raises(monkeypatch, shift):
-    """A table whose f is off by one breaks |Ap| = e or max Ap = f + e."""
-    real = NumericalSemigroup._initial_table
-
-    def corrupt(gens):
-        bits, f = real(gens)
-        return bits, f + shift
-
-    monkeypatch.setattr(NumericalSemigroup, "_initial_table", staticmethod(corrupt))
-    S = build([5, 7, 9])
+    """An f off by one breaks |Ap| = e or max Ap = f + e, caught at build."""
+    real = core.largest_missing
+    monkeypatch.setattr(core, "largest_missing", lambda *args: real(*args) + shift)
     with pytest.raises(InternalInconsistency):
-        S.contains(11)
+        build([5, 7, 9])
 
 
 def _stall(monkeypatch):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from numsem import (
@@ -15,6 +17,9 @@ from numsem import (
     match_ap2_size4_case,
     strata_tables,
 )
+from numsem import structure
+from numsem.cli import _encode
+from numsem.corpus import random_corpus
 
 import data
 
@@ -223,3 +228,29 @@ def test_classification_report_shape(e13):
     assert report.offset3.holds
     assert not report.offset4.applicable
     assert report.sp_params is not None and report.sp_params.p == 6
+
+
+def _wide_ap24(e):
+    """<e, e + c : 1 <= c < e, c not in {2, 4, 6, 8}>: v = e - 4, |Ap_2| = 4."""
+    return [e] + [e + c for c in range(1, e) if c not in (2, 4, 6, 8)]
+
+
+def test_roles_agree_with_enumerating_ap1(monkeypatch, study_instances, sp_instances):
+    """Tuples of the roles give every detector the verdicts and witnesses,
+    in the same order, that tuples of all of Ap_1 give."""
+    instances = study_instances + sp_instances + random_corpus(13, 500, dense_every=3)
+    instances += [build(_wide_ap24(e)) for e in range(20, 61, 4)]
+    fast = [_encode(classification_report(S)) for S in instances]
+    monkeypatch.setattr(structure, "_roles", lambda ap1, target: ap1)
+    for S, want in zip(instances, fast):
+        assert _encode(classification_report(S)) == want, S
+
+
+def test_wide_ap24_member_is_classified_fast():
+    """At e = 320 (|Ap_1| = 315) the detectors stay linear in v."""
+    S = build(_wide_ap24(320))
+    start = time.perf_counter()
+    report = classification_report(S)
+    assert time.perf_counter() - start < 2.0
+    assert report.ap24_case.case == "b"
+    assert report.offset4.profile == (4, 0)
