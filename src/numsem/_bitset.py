@@ -7,13 +7,16 @@ AND/OR-ing is a whole-window operation at C speed.
 
 Never test one bit per loop step: ``(bits >> x) & 1`` copies the whole
 window, so a loop over x costs O(window^2).  Intersect, count and read sets
-out whole; ``bits_to_tuple`` touches each 64-bit word once.
+out whole: ``bits_to_tuple`` cuts the int into 64-bit words once and, on a
+sparse int, steps only through the nonzero ones; many point reads go through
+one ``to_bytes`` of the int.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 from typing import Iterable
 
 
@@ -85,10 +88,14 @@ def class_table(column: int, e: int) -> array:
 def bits_to_tuple(bits: int) -> tuple[int, ...]:
     """The set bit positions of a non-negative int, in increasing order.
 
-    The int is cut once into 64-bit words; zero words are skipped, and each
-    set bit is peeled off its own word, never off the whole int.  Ints of at
-    most four words (empty sets included) are peeled whole instead: at that
-    size the fixed cost of the cut outweighs what it saves.
+    The int is cut once into 64-bit words and each set bit is peeled off its
+    own word, never off the whole int.  When fewer than one bit in eight
+    words is set, only the nonzero words are visited (found by ``compress``
+    at C speed), so a sparse set in a wide window costs its size, not the
+    window's; a denser int steps through every word, which is faster there.
+    A single bit is read off ``bit_length`` without a cut.  Ints of at most
+    four words (empty sets included) are peeled whole: at that size the
+    fixed cost of the cut outweighs what it saves.
     """
     if not bits:
         return ()
@@ -99,10 +106,21 @@ def bits_to_tuple(bits: int) -> tuple[int, ...]:
             out.append(low.bit_length() - 1)
             bits ^= low
         return tuple(out)
+    count = bits.bit_count()
+    if count == 1:
+        return (bits.bit_length() - 1,)
     words = array("Q", bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little"))
     if sys.byteorder == "big":
         words.byteswap()
     out = []
+    if 8 * count < len(words):
+        for i in compress(range(len(words)), words):
+            w, base = words[i], i << 6
+            while w:
+                low = w & -w
+                out.append(base + low.bit_length() - 1)
+                w ^= low
+        return tuple(out)
     base = 0
     for w in words:
         while w:

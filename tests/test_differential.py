@@ -84,6 +84,24 @@ def check_orders(S):
             assert order_of(S, s) == want[s], s
 
 
+def check_columns(S):
+    """Each column of the order table against the array DP: ``columns[h][c]``
+    is the smallest s = c mod e with ord(s) >= h, for h = 0 .. stable_from,
+    and a class gains 0 or e from one column to the next."""
+    table = order_table(S)
+    e, columns = S.e, table.columns
+    assert len(columns) == table.stable_from + 1
+    want = oracles.order_dp(list(S.gens), S.f + len(columns) * e)
+    for h, column in enumerate(columns):
+        smallest = {}
+        for s, k in enumerate(want):
+            if k is not None and k >= h:
+                smallest.setdefault(s % e, s)
+        assert list(column) == [smallest[c] for c in range(e)], h
+    for low, high in zip(columns, columns[1:]):
+        assert {b - a for a, b in zip(low, high)} <= {0, e}
+
+
 CHECKS = [
     check_apery,
     check_contains,
@@ -91,6 +109,7 @@ CHECKS = [
     check_symmetry,
     check_strata,
     check_orders,
+    check_columns,
 ]
 
 
@@ -138,6 +157,11 @@ def naive_bit_scan(bits):
         (1 << 200) | (1 << 64) | 1,  # zero bytes and zero words inside
         (0xFF << 120) | (1 << 71) | (1 << 8),
         sum(1 << x for x in range(0, 1000, 7)),
+        pytest.param(1 << 4096, id="one-bit-past-64-zero-words"),
+        pytest.param((1 << 100_000) | (1 << 64) | 1, id="three-bits-in-100k"),
+        pytest.param((((1 << 64) - 1) << 640) | (1 << 5000), id="full-word-in-sparse"),
+        pytest.param(sum(1 << (64 * i) for i in range(0, 800, 8)), id="bit-per-8-words-dense"),
+        pytest.param(sum(1 << (64 * i) for i in range(0, 800, 9)), id="bit-per-9-words-sparse"),
     ],
 )
 def test_bits_to_tuple_matches_naive_scan(bits):
@@ -151,6 +175,15 @@ def test_bits_to_tuple_round_trip(positions):
     for x in positions:
         bits |= 1 << x
     assert bits_to_tuple(bits) == naive_bit_scan(bits) == tuple(sorted(set(positions)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=20_000), max_size=12))
+def test_bits_to_tuple_round_trip_sparse(positions):
+    bits = 0
+    for x in positions:
+        bits |= 1 << x
+    assert bits_to_tuple(bits) == tuple(sorted(set(positions)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,10 +285,23 @@ def _accept_every_leaf(monkeypatch):
         (_feed(lambda n, here, above: above | (here & -here) if n else above), "H_R"),
         # The Apery element 19 of E13 never gets an order.
         (_feed(lambda n, here, above: above | (1 << 19) if n == 1 else above), "Apery strata"),
+        # 2e = 26 leaves 2M, so stratum 1 of E13 holds two elements of class 0,
+        # while its class leaves level 1 once.
+        (
+            _feed(lambda n, here, above: above & ~(1 << 26) if n == 1 else above),
+            "classes leave level",
+        ),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
     ],
-    ids=["stabilization", "hilbert_tail", "apery_strata", "delta_audit", "search_reverify"],
+    ids=[
+        "stabilization",
+        "hilbert_tail",
+        "apery_strata",
+        "class_moves",
+        "delta_audit",
+        "search_reverify",
+    ],
 )
 def test_internal_checks_raise(monkeypatch, corrupt, message):
     """Each theorem the engine checks raises on a table that breaks it."""
