@@ -102,6 +102,38 @@ def check_columns(S):
         assert {b - a for a, b in zip(low, high)} <= {0, e}
 
 
+def check_tables(S):
+    """C_k, D_k and D_k^t against their definitions, read off the array DP,
+    for every level up to r_stop: C_k holds the x of order k with x - e
+    outside (k-1)M, D_k the y of order k-1 with ord(y + e) > k, and D_k^t
+    those with ord(y + e) = t.  The dicts hold exactly the levels below
+    r_stop, in increasing order, and k0 is the first nonempty D_k."""
+    t = strata_tables(S)
+    e, r_stop = S.e, t.r_stop
+    ords = oracles.order_dp(list(S.gens), S.f + (r_stop + 4) * e)
+
+    def landed(x, k):  # x - e is in (k-1)M
+        return x >= e and ords[x - e] is not None and ords[x - e] >= k - 1
+
+    split = {}
+    for k in range(1, r_stop + 1):
+        c_k = tuple(x for x, o in enumerate(ords) if o == k and not landed(x, k))
+        assert t.c_sets.get(k, ()) == c_k, (S.gens, k)
+        if k == 1:
+            continue
+        d_k = tuple(y for y, o in enumerate(ords) if o == k - 1 and ords[y + e] > k)
+        assert t.d_sets.get(k, ()) == d_k, (S.gens, k)
+        for y in d_k:
+            split.setdefault(k, {}).setdefault(ords[y + e], []).append(y)
+    want = {k: {u: tuple(ys) for u, ys in sorted(by.items())} for k, by in split.items()}
+    assert t.d_split == want, S.gens
+    key_order = lambda split: [(k, list(by)) for k, by in split.items()]  # noqa: E731
+    assert key_order(t.d_split) == key_order(want)
+    assert list(t.c_sets) == list(range(1, r_stop))
+    assert list(t.d_sets) == list(range(2, r_stop))
+    assert t.k0 == min(want, default=None)
+
+
 CHECKS = [
     check_apery,
     check_contains,
@@ -110,6 +142,7 @@ CHECKS = [
     check_strata,
     check_orders,
     check_columns,
+    check_tables,
 ]
 
 
