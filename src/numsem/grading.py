@@ -8,10 +8,11 @@ hM = {s : ord(s) >= h} form the order filtration.
 One sweep per semigroup walks the levels hM as bitsets, three at a time, up
 to the first level r with (r+1)M = rM + e.  From that level on, adding the
 multiplicity is a bijection between consecutive strata, so the sweep has
-seen all there is: the Hilbert function, the sets C_k, D_k and D_k^t, the
-Apery strata, and the smallest element of hM in each residue class mod e
-for h <= r (the Apery table of the filtration).  ``order_table`` keeps that
-record on the semigroup, and ``order_of`` is a lookup in it.
+seen all there is.  It records the Hilbert function, the sets C_k and the
+smallest element of hM in each residue class mod e for h <= r (the Apery
+table of the filtration); C_k is the order-k Apery elements plus the
+landings D_h^k + e, h < k, which gives D_k, D_k^t and the Apery strata.
+``order_table`` keeps it on the semigroup; ``order_of`` is a lookup in it.
 """
 
 from __future__ import annotations
@@ -154,47 +155,28 @@ class OrderTable:
     ``hilbert``, ``tables`` and ``apery_strata`` are what
     ``hilbert_function``, ``strata_tables`` and ``apery_strata`` return.
 
-    The sets that a level resolves only later are kept as pending bits and
-    AND-ed against each later stratum: D_k + e, split by landing order, and
-    the Apery set, split by order.  Both are placed by level r = stable_from:
-    an element x of order t > r has x - e in (t-1)M, so an Apery element has
-    order at most r, and so has x + e for x in D_k, k <= r, since x has
-    order k - 1 < r.
+    A level records only H(n) and C_n, its elements outside (n-1)M + e.  An
+    x in C_k is the Apery element of its class c, or y = x - e has order
+    h - 1 < k - 1 and is in D_h^k; then no smaller element of class c is in
+    hM, else y would be, so columns h to k of class c hold x and column h - 1
+    does not.  Every y in D_h lands so in C_t, t = ord(y + e) > h, so this
+    yields D_h, D_h^t and the Apery strata; an x that fits neither raises.
     """
 
     __slots__ = ("e", "columns", "stable_from", "hilbert", "tables", "apery_strata")
 
     def __init__(self, S: NumericalSemigroup):
-        e = S.e
-        columns: list[array] = [S._ap_class]
+        e, apery = S.e, S._ap_class
+        columns: list[array] = [apery]
         values: list[int] = []
         c_sets: dict[int, tuple[int, ...]] = {}
-        d_sets: dict[int, tuple[int, ...]] = {}
-        d_split: dict[int, dict[int, tuple[int, ...]]] = {}
-        landings: dict[int, int] = {}  # k -> the part of D_k + e not yet placed
-        apery_parts: dict[int, tuple[int, ...]] = {}  # k -> Apery elements of order k
-        below = below_stratum = pending = 0
+        below = 0
         for n, here, above in _levels(S.gens, S.f):
             stratum = here & ~above
             values.append(stratum.bit_count())
-            if n == 0:
-                pending = here & ~(here << e) & ~1
-            else:
+            if n:
                 c_sets[n] = bits_to_tuple(stratum & ~(below << e))
-                if part := pending & stratum:
-                    apery_parts[n] = bits_to_tuple(part)
-                    pending ^= part
-                for k, bits in landings.items():
-                    if hit := bits & stratum:
-                        d_split[k][n] = bits_to_tuple(hit >> e)
-                        landings[k] = bits ^ hit
-            if n >= 2:
-                d_bits = below_stratum & (above >> e)
-                d_sets[n] = bits_to_tuple(d_bits)
-                if d_bits:
-                    d_split[n] = {}
-                    landings[n] = d_bits << e
-            below, below_stratum = here, stratum
+            below = here
             if not n or above != here << e:  # no column is kept past level r
                 buf = above.to_bytes(above.bit_length() // 8 + 1, "little")
                 step = [w if buf[w >> 3] >> (w & 7) & 1 else w + e for w in columns[n]]
@@ -205,14 +187,31 @@ class OrderTable:
                 del buf
                 columns.append(array("q", step))
         r = n
-        if any(landings.values()):
-            raise InternalInconsistency("D_k + e is not placed by level %d" % r)
 
-        last_active = max((k for k in d_sets if d_sets[k] or c_sets[k]), default=1)
-        r_stop = max(2, last_active + 1)
-        for k in range(r_stop, r + 1):
-            del d_sets[k], c_sets[k]
-        k0 = min((k for k, v in d_sets.items() if v), default=None)
+        # Each y in D_h lands in C_t, t > h: the last nonempty C_k bounds D_h.
+        r_stop = max((k + 1 for k, v in c_sets.items() if v), default=2)
+        apery_parts: dict[int, list[int]] = {}  # k -> Apery elements of order k
+        landings: dict[int, dict[int, list[int]]] = {h: {} for h in range(2, r_stop)}
+        for k in range(1, r_stop):
+            for x in c_sets[k]:
+                c = x % e
+                if apery[c] == x:
+                    apery_parts.setdefault(k, []).append(x)
+                    continue
+                h = k
+                while columns[h - 1][c] == x:
+                    h -= 1
+                if h < 2 or columns[k][c] != x:
+                    raise InternalInconsistency("%d in C_%d is not a landing" % (x, k))
+                landings[h].setdefault(k, []).append(x - e)
+        c_sets = {k: c_sets[k] for k in range(1, r_stop)}
+        d_sets: dict[int, tuple[int, ...]] = {}
+        d_split: dict[int, dict[int, tuple[int, ...]]] = {}
+        for h, split in landings.items():
+            d_sets[h] = tuple(sorted(y for part in split.values() for y in part))
+            if split:
+                d_split[h] = {t: tuple(part) for t, part in split.items()}
+        k0 = min(d_split, default=None)
         # H_R(n) = e on the computed tail; past r it follows from
         # (r+1)M = rM + e, which the sweep checked.
         for n in range(r_stop - 1, r + 1):
@@ -224,7 +223,7 @@ class OrderTable:
         decreasing = tuple(l for l in range(1, r_stop) if values[l] < values[l - 1])
 
         d = max(apery_parts, default=0)
-        strata = {k: apery_parts.get(k, ()) for k in range(1, d + 1)}
+        strata = {k: tuple(apery_parts.get(k, ())) for k in range(1, d + 1)}
         if sum(len(v) for v in strata.values()) + 1 != e:
             raise InternalInconsistency("Apery strata sizes do not sum to e")
         profile = (1,) + tuple(len(strata[k]) for k in range(1, d + 1))

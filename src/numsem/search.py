@@ -211,13 +211,13 @@ def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:
     a, b = pair
     p, k = a % 13, a // 13
     kprime = (b - 4 * p) // 13
-    apery = set(S.apery())
+    apery = S._ap_class
 
     def drop(value: int) -> int:
-        for lam in range(1, value // 13 + 1):
-            if value - lam * 13 in apery:
-                return lam
-        raise InternalInconsistency("no Apery element below %d in its class" % value)
+        lam = (value - apery[value % 13]) // 13
+        if lam < 1:
+            raise InternalInconsistency("no Apery element below %d in its class" % value)
+        return lam
 
     try:
         return SpParameters(
@@ -247,6 +247,8 @@ class SearchConfig:
     def __post_init__(self):
         if (self.gen_bound is None) == (self.gen_bound_per_e is None):
             raise BadRange("set exactly one of gen_bound / gen_bound_per_e")
+        if min(self.e_range) < 1:
+            raise BadRange("multiplicities must be at least 1")
         if self.v_offset not in (3, 4):
             raise BadRange("v_offset must be 3 or 4")
         if self.workers < 1:

@@ -118,6 +118,21 @@ def test_unaffordable_generators_exit_1(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--e-range", "0..0", "--v-offset", "4", "--gen-bound", "10"],
+        ["--e-range", "0..1", "--v-offset", "3"],
+    ],
+    ids=["0..0-bound-10", "0..1"],
+)
+def test_search_multiplicity_below_1_exit_1(capsys, argv):
+    code, out, err = run(["search", *argv], capsys)
+    assert code == 1
+    assert "error: BadRange" in out
+    assert err == ""
+
+
 def test_usage_error_exit(capsys):
     code, out, err = run(["info"], capsys)
     assert code == 1

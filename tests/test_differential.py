@@ -127,8 +127,9 @@ def check_tables(S):
             split.setdefault(k, {}).setdefault(ords[y + e], []).append(y)
     want = {k: {u: tuple(ys) for u, ys in sorted(by.items())} for k, by in split.items()}
     assert t.d_split == want, S.gens
-    key_order = lambda split: [(k, list(by)) for k, by in split.items()]  # noqa: E731
-    assert key_order(t.d_split) == key_order(want)
+    assert [(k, list(by)) for k, by in t.d_split.items()] == [
+        (k, list(by)) for k, by in want.items()
+    ]
     assert list(t.c_sets) == list(range(1, r_stop))
     assert list(t.d_sets) == list(range(2, r_stop))
     assert t.k0 == min(want, default=None)
@@ -324,6 +325,12 @@ def _accept_every_leaf(monkeypatch):
             _feed(lambda n, here, above: above & ~(1 << 26) if n == 1 else above),
             "classes leave level",
         ),
+        # 57 = 44 + e, a landing in C_3, leaves the 3M the table sees, so
+        # column 3 of its class moves on to 70 while C_3 still holds 57.
+        (
+            _feed(lambda n, here, above: above & ~(1 << 57) if n == 2 else above),
+            "not a landing",
+        ),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
     ],
@@ -332,6 +339,7 @@ def _accept_every_leaf(monkeypatch):
         "hilbert_tail",
         "apery_strata",
         "class_moves",
+        "landing",
         "delta_audit",
         "search_reverify",
     ],

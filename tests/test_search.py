@@ -111,6 +111,16 @@ def test_search_empty_range():
     assert search_decreasing(cfg) == []
 
 
+@pytest.mark.parametrize(
+    "e_range", [(0, 0), (-3, -1), (0, 1), (1, 0)], ids=["0..0", "-3..-1", "0..1", "1..0"]
+)
+def test_search_config_rejects_multiplicities_below_1(e_range):
+    """No semigroup has multiplicity below 1; e = 0 would divide by zero
+    when the search lists its tasks."""
+    with pytest.raises(BadRange, match="at least 1"):
+        SearchConfig(e_range, 4, gen_bound=10)
+
+
 def test_search_small_moduli_empty():
     cfg = SearchConfig(e_range=(10, 12), v_offset=3, gen_bound_per_e=20)
     assert search_decreasing(cfg) == []
