@@ -205,6 +205,9 @@ def test_strata_max_level_flag(capsys):
 
 _GOLDEN = Path(__file__).with_name("cli_digests.json")
 _VIEWS = [("info",), ("apery",), ("hilbert",), ("strata",), ("strata", "--max-level", "3")]
+# Two- and three-generator ladders, whose windows are wide against e * v.
+_LADDERS = [(30, 31), (100, 101), (200, 201), (60, 61, 62)]
+_LADDER_VIEWS = [("info",), ("hilbert",), ("strata",)]
 
 
 def golden_argvs():
@@ -217,6 +220,11 @@ def golden_argvs():
         argvs = [[view[0], text, *view[1:]] for view in _VIEWS]
         argvs += [["check", what, text] for what in _CHECKS]
         for argv in argvs:
+            seen[" ".join(argv)] = argv
+    for gens in _LADDERS:
+        text = ",".join(map(str, gens))
+        for view in _LADDER_VIEWS:
+            argv = [view[0], text, *view[1:]]
             seen[" ".join(argv)] = argv
     for argv in (
         ["residue-table", "13"],
