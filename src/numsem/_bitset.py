@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def window_mask(limit: int) -> int:
@@ -41,6 +41,27 @@ def closure_bits(gens: Iterable[int], limit: int, bits: int = 1) -> int:
             bits |= (bits << shift) & mask
             shift <<= 1
     return bits
+
+
+def frobenius_window(gens: Sequence[int], e: int) -> tuple[int, int]:
+    """(bits, limit): the closure of ``gens`` over [0, limit], a window that
+    holds f + e, so that f is ``largest_missing(bits, limit)``.
+
+    ``gens`` holds the multiplicity e.  The window starts at twice the
+    largest generator and doubles until its top e bits are all members;
+    every larger integer is then a member too, one of them plus a multiple
+    of e.  It stops at the cap max(e - 1, 1) * max(gens) + 1, which holds
+    f + e whenever the gcd is 1 (every class mod e is reached with at most
+    e - 1 generators); a set of gcd > 1 never shows the run and gets the cap.
+    """
+    top = max(gens)
+    cap = max(e - 1, 1) * top + 1
+    limit = min(2 * top, cap)
+    bits = closure_bits(gens, limit)
+    while limit < cap and bits >> (limit - e + 1) != (1 << e) - 1:
+        limit = min(2 * limit, cap)
+        bits = closure_bits(gens, limit, bits)
+    return bits, limit
 
 
 def shift_sum(bits: int, gens: Iterable[int], mask: int) -> int:

@@ -163,6 +163,8 @@ def parse(argv: list[str]) -> Command:
                 flags[key] = int(flags[key])
             except ValueError:
                 raise UsageError("--%s needs an integer" % key.replace("_", "-"))
+    if flags.get("max_level", 0) < 0:
+        raise UsageError("--max-level needs a level >= 0")
     return cmd
 
 

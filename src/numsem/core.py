@@ -7,9 +7,10 @@ embedding dimension v, and the largest integer outside the semigroup is the
 Frobenius number f.
 
 A semigroup keeps only its Apery table: the Apery element of each residue
-class mod e.  Construction closes the generators once over a window of
-(e-1)*max(gens) bits, which holds f + e, reads the minimality test, f and the
-Apery table off that transient closure, and drops it.  Membership, gaps and
+class mod e.  Construction closes the generators over a window that doubles
+from 2*max(gens) until it holds f + e (at most (e-1)*max(gens) bits), reads
+the minimality test, f and the Apery table off that transient closure, and
+drops it.  Membership, gaps and
 genus are read off the table, with no window.
 """
 
@@ -19,7 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._bitset import class_table, closure_bits, irreducible_bits, largest_missing, window_mask
+from ._bitset import (
+    class_table,
+    frobenius_window,
+    irreducible_bits,
+    largest_missing,
+    window_mask,
+)
 from .errors import (
     EmptyGenerators,
     GcdNotOne,
@@ -41,9 +48,9 @@ __all__ = [
 ]
 
 # e * max(gens) bounds every window the package allocates: the closure at
-# construction spans (e-1) * max(gens) bits and is dropped once the Apery
-# table is read off it; the level sweep's windows are at most e**2 bits wider,
-# and its cached Apery columns take at most 8 * e**2 bytes.
+# construction spans at most (e-1) * max(gens) bits and is dropped once the
+# Apery table is read off it; the level sweep's windows are at most e**2 bits
+# wider, and its cached Apery columns take at most 8 * e**2 bytes.
 _WINDOW_BUDGET = 1 << 24
 
 
@@ -114,10 +121,8 @@ class NumericalSemigroup:
         common = math.gcd(*ordered)
         if common != 1:
             raise GcdNotOne("gcd of %s is %d" % (ordered, common))
-        # Every residue class mod e is reached with at most e - 1 generators,
-        # so f + e <= (e - 1) * top < cutoff; the window also covers [0, top].
-        cutoff = max(e - 1, 1) * top + 1
-        bits = closure_bits(ordered, cutoff)
+        # The window holds f + e and [0, top].
+        bits, cutoff = frobenius_window(ordered, e)
         # A generator is redundant iff the others already reach it, i.e. iff
         # it is a sum of two nonzero members; report the smallest such.
         gen_bits = 0

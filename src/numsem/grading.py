@@ -5,14 +5,23 @@ h nonzero elements; equivalently the largest coefficient sum over all ways
 of writing s in the generators.  With M the nonzero elements, the sets
 hM = {s : ord(s) >= h} form the order filtration.
 
-One sweep per semigroup walks the levels hM as bitsets, three at a time, up
-to the first level r with (r+1)M = rM + e.  From that level on, adding the
-multiplicity is a bijection between consecutive strata, so the sweep has
-seen all there is.  It records the Hilbert function, the sets C_k and the
-smallest element of hM in each residue class mod e for h <= r (the Apery
-table of the filtration); C_k is the order-k Apery elements plus the
-landings D_h^k + e, h < k, which gives D_k, D_k^t and the Apery strata.
-``order_table`` keeps it on the semigroup; ``order_of`` is a lookup in it.
+One fill per semigroup records the filtration up to the first level r with
+(r+1)M = rM + e.  From that level on, adding the multiplicity is a
+bijection between consecutive strata, so the fill has seen all there is.
+It records the Hilbert function, the sets C_k and the smallest element of
+hM in each residue class mod e for h <= r (the Apery table of the
+filtration; Cortadellas Benitez and Zarzuela Armengou, J. Algebra 328,
+2011); C_k is the order-k Apery elements plus the landings D_h^k + e,
+h < k, which gives D_k, D_k^t and the Apery strata.  ``order_table`` keeps
+it on the semigroup; ``order_of`` is a lookup in it.
+
+Two fills produce the same table.  The bitset fill sweeps the levels hM as
+whole-window bitsets, three at a time; its windows span about f + r*e bits.
+The min-plus fill derives each column from the one before with no window,
+in v passes over the e classes a level.  The table takes the min-plus fill
+when the window f + e is more than ``_MIN_PLUS_ABOVE`` times e * v (the
+two-generator ladders, whose windows are about e**2 bits), and the bitset
+fill otherwise; each is the other's differential twin in the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, gt, itemgetter, sub
 from typing import Iterator
 
 from ._bitset import bits_to_tuple, closure_bits, shift_sum, window_mask
@@ -75,6 +85,102 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
             )
         n += 1
         here, above = above, shift_sum(above, gens, window_mask(f + (n + 2) * e))
+
+
+
+# OrderTable takes the min-plus fill when the window f + e is more than this
+# many times e * v.  Timed fill against fill on 400 semigroups (e = 5..160,
+# v = 2..14), the bitset fill is faster below a ratio of about 28 and the
+# min-plus fill above about 32 (1.1-1.4 times faster at 40-64).
+_MIN_PLUS_ABOVE = 32
+
+
+def _bitset_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]:
+    """The columns for levels 0..r, H(0..r) and C_1..C_r from the level sweep.
+
+    Each level n is read off its stratum nM minus (n+1)M: H(n) is its size
+    and C_n its elements outside (n-1)M + e.  Column n is the entry of
+    column n - 1 where nM holds it and that entry plus e elsewhere; it is
+    derived on reaching level n, from the nM that level n - 1 handed over as
+    its upper set, so the stop test of ``_levels`` is the only one and no
+    column is kept past r.  The e memberships come out of one byte string of
+    nM, so a column costs O(e) lookups, not a scan of its window.
+    """
+    e = S.e
+    columns: list[array] = [S._ap_class]
+    values: list[int] = []
+    c_sets: dict[int, tuple[int, ...]] = {}
+    below = level = 0
+    for n, here, above in _levels(S.gens, S.f):
+        if n:
+            buf = level.to_bytes(level.bit_length() // 8 + 1, "little")
+            step = [w if buf[w >> 3] >> (w & 7) & 1 else w + e for w in columns[n - 1]]
+            # Free the window-sized copy before packing the column, which
+            # lives on: packed above it, each column pins a hole that the
+            # next, wider windows cannot reuse (<1000, 1001> peaked at
+            # 66 MB RSS that way, against 30 MB).
+            del buf
+            columns.append(array("q", step))
+        stratum = here & ~above
+        values.append(stratum.bit_count())
+        if n:
+            c_sets[n] = bits_to_tuple(stratum & ~(below << e))
+        below, level = here, above
+    return columns, values, c_sets
+
+
+def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]:
+    """What ``_bitset_fill`` returns, from the columns alone, with no window.
+
+    (n+1)M is the union of g + nM over the generators g, so column n + 1 is
+    the min over g of column n shifted by g: class c takes
+    ``columns[n][(c - g) % e] + g``, and g = e adds e in place.  A level is
+    v passes over e classes.  Each class moves by 0 or e, as nM + e is
+    inside (n+1)M, itself inside nM, and a class of nM is an upward-closed
+    progression from its column entry.  So H(n) is the number of classes
+    that move, level n is stable ((n+1)M = nM + e) when all of them do, and
+    x = columns[n][c] is in C_n when its class moves at n but not at n - 1,
+    which is x - e < columns[n-1][c].  A move of any other size raises, and
+    so does a sweep past level e - 1, as in ``_levels``.
+    """
+    e, gens = S.e, S.gens
+    hard_stop = max(1, e - 1)
+    columns: list[array] = [S._ap_class]
+    values: list[int] = []
+    c_sets: dict[int, tuple[int, ...]] = {}
+    column, moved = S._ap_class.tolist(), None
+    n = 0
+    while True:
+        # The g = e term rides on the pass of the largest generator; for
+        # N = <1> that generator is e itself, a shift by 0.
+        g = gens[-1]
+        s = g % e
+        step = [
+            a + e if a + e <= b + g else b + g
+            for a, b in zip(column, column[-s:] + column[:-s])
+        ]
+        for g in gens[1:-1]:
+            s = g % e
+            shifted = map(add, column[-s:] + column[:-s], repeat(g))
+            step = [a if a <= b else b for a, b in zip(step, shifted)]
+        moves = list(map(sub, step, column))
+        h = moves.count(e)
+        if h + moves.count(0) != e:
+            raise InternalInconsistency(
+                "a class moves by other than 0 or e = %d from level %d" % (e, n)
+            )
+        values.append(h)
+        if n:
+            c_sets[n] = tuple(sorted(compress(column, map(gt, moves, moved))))
+            if h == e:
+                return columns, values, c_sets
+        if n == hard_stop:
+            raise InternalInconsistency(
+                "order filtration did not stabilize by level %d" % hard_stop
+            )
+        columns.append(array("q", step))
+        column, moved = step, moves
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -141,52 +247,39 @@ class AperyStratification:
 
 
 class OrderTable:
-    """What one sweep of the order filtration of S records.
+    """What one fill of the order filtration of S records.
 
     ``columns[h][c]`` is the smallest element of hM in residue class c mod e,
     for h = 0 .. ``stable_from``, packed 8 bytes a class; column 0 is the
     Apery table S keeps.  Since nM + e is inside (n+1)M, itself inside nM,
-    each column follows from the one before: ``columns[n+1][c]`` is
-    ``columns[n][c]`` if that element is in (n+1)M and ``columns[n][c] + e``
-    otherwise.  The sweep reads those e memberships out of one byte string
-    of (n+1)M, so a level costs O(e) lookups, not a scan of its window.  A
-    class holds at most one element of each order, so the column sums grow
-    by e * H(n) from level n to n + 1; the table checks that identity.
-    ``hilbert``, ``tables`` and ``apery_strata`` are what
-    ``hilbert_function``, ``strata_tables`` and ``apery_strata`` return.
+    ``columns[n+1][c]`` is ``columns[n][c]`` or ``columns[n][c] + e``, and
+    H(n) counts the classes that move.  ``hilbert``, ``tables`` and
+    ``apery_strata`` are what ``hilbert_function``, ``strata_tables`` and
+    ``apery_strata`` return.
 
-    A level records only H(n) and C_n, its elements outside (n-1)M + e.  An
-    x in C_k is the Apery element of its class c, or y = x - e has order
-    h - 1 < k - 1 and is in D_h^k; then no smaller element of class c is in
-    hM, else y would be, so columns h to k of class c hold x and column h - 1
-    does not.  Every y in D_h lands so in C_t, t = ord(y + e) > h, so this
-    yields D_h, D_h^t and the Apery strata; an x that fits neither raises.
+    A fill returns the columns, H(0..r) and C_1..C_r, C_n being the
+    elements of order n outside (n-1)M + e; ``_bitset_fill`` reads them off
+    the level bitsets, ``_min_plus_fill`` off the columns alone (see each),
+    chosen by the width of the window against e * v.  Everything after is
+    shared.  An x in C_k is the Apery element of its class c, or y = x - e
+    has order h - 1 < k - 1 and is in D_h^k; then no smaller element of
+    class c is in hM, else y would be, so columns h to k of class c hold x
+    and column h - 1 does not.  Every y in D_h lands so in C_t,
+    t = ord(y + e) > h, so this yields D_h, D_h^t and the Apery strata; an
+    x that fits neither raises.  A class holds at most one element of each
+    order, so the column sums grow by e * H(n) from level n to n + 1; the
+    table checks that identity, which checks the bitset fill.  The min-plus
+    fill checks each move against {0, e} itself, as there the sums agree by
+    construction.
     """
 
     __slots__ = ("e", "columns", "stable_from", "hilbert", "tables", "apery_strata")
 
     def __init__(self, S: NumericalSemigroup):
         e, apery = S.e, S._ap_class
-        columns: list[array] = [apery]
-        values: list[int] = []
-        c_sets: dict[int, tuple[int, ...]] = {}
-        below = 0
-        for n, here, above in _levels(S.gens, S.f):
-            stratum = here & ~above
-            values.append(stratum.bit_count())
-            if n:
-                c_sets[n] = bits_to_tuple(stratum & ~(below << e))
-            below = here
-            if not n or above != here << e:  # no column is kept past level r
-                buf = above.to_bytes(above.bit_length() // 8 + 1, "little")
-                step = [w if buf[w >> 3] >> (w & 7) & 1 else w + e for w in columns[n]]
-                # Free the window-sized copy before packing the column, which
-                # lives on: packed above it, each column pins a hole that the
-                # next, wider windows cannot reuse (<1000, 1001> peaked at
-                # 66 MB RSS that way, against 30 MB).
-                del buf
-                columns.append(array("q", step))
-        r = n
+        fill = _min_plus_fill if S.f + e > _MIN_PLUS_ABOVE * e * S.v else _bitset_fill
+        columns, values, c_sets = fill(S)
+        r = len(values) - 1
 
         # Each y in D_h lands in C_t, t > h: the last nonempty C_k bounds D_h.
         r_stop = max((k + 1 for k, v in c_sets.items() if v), default=2)

@@ -35,6 +35,7 @@ from ._bitset import (
     bits_to_tuple,
     class_table,
     closure_bits,
+    frobenius_window,
     irreducible_bits,
     largest_missing,
     window_mask,
@@ -272,8 +273,8 @@ def _candidate_is_hit(e: int, gens: tuple[int, ...]) -> bool:
     elements of order 1 backs up the minimality pruning of
     ``_expand_skeleton``.
     """
-    cutoff = (e - 1) * max(gens) + 1
-    f = largest_missing(closure_bits(gens, cutoff), cutoff)
+    bits, limit = frobenius_window(gens, e)
+    f = largest_missing(bits, limit)
     gen_bits = 0
     for g in gens:
         gen_bits |= 1 << g

@@ -201,6 +201,14 @@ def test_strata_max_level_flag(capsys):
     assert "d_sets.4" not in out
 
 
+@pytest.mark.parametrize("level", ["x", "-1"])
+def test_strata_max_level_must_be_a_level(capsys, level):
+    code, out, err = run(["strata", "5,7,9", "--max-level", level], capsys)
+    assert code == 1
+    assert out == ""
+    assert "usage" in err
+
+
 # -- frozen output --------------------------------------------------------------
 
 _GOLDEN = Path(__file__).with_name("cli_digests.json")

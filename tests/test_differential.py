@@ -170,6 +170,58 @@ def test_fast_paths_match_oracles_on_study_instances(check, study_instances):
         check(S)
 
 
+# Ladders: windows wide against e * v, where the order table's default is
+# the min-plus fill.
+LADDERS = [(30, 31), (60, 61, 62), (21, 23), (25, 26, 27), (16, 17, 19, 20)]
+
+# _MIN_PLUS_ABOVE values that force each fill of the order table.
+FILLS = {"bitset": 1 << 62, "min_plus": -1}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("fill", FILLS)
+@settings(max_examples=60, deadline=None)
+@given(S=small_semigroups())
+def test_both_fills_match_oracles(fill, check, S):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grading, "_MIN_PLUS_ABOVE", FILLS[fill])
+        check(build(list(S.gens)))
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("fill", FILLS)
+def test_both_fills_match_oracles_on_study_instances_and_ladders(
+    monkeypatch, fill, check, study_instances
+):
+    monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", FILLS[fill])
+    for gens in [S.gens for S in study_instances] + LADDERS:
+        check(build(list(gens)))
+
+
+def _table_fields(gens):
+    table = order_table(build(list(gens)))
+    return (
+        table.hilbert,
+        table.tables,
+        [list(by) for by in table.tables.d_split.values()],
+        table.apery_strata,
+        [list(column) for column in table.columns],
+        table.stable_from,
+    )
+
+
+@pytest.mark.parametrize(
+    "gens", [(100, 101), (200, 201), (99, 101), (80, 81, 82), (150, 151, 157)]
+)
+def test_fills_agree_on_wide_ladders(monkeypatch, gens):
+    """The min-plus fill against its twin, the bitset fill, where the oracles
+    are too slow: every field of the table, dict order included."""
+    want = _table_fields(gens)
+    for fill, above in FILLS.items():
+        monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
+        assert _table_fields(gens) == want, fill
+
+
 def naive_bit_scan(bits):
     return tuple(x for x in range(bits.bit_length()) if (bits >> x) & 1)
 
@@ -306,6 +358,19 @@ def _drop_c2(monkeypatch):
     return lambda: audit_delta(build(list(data.E13)))
 
 
+def _min_plus_jump(monkeypatch):
+    """The min-plus fill on E13 with the Apery element 19 raised by 2e:
+    level 1 still holds the generator 19, so its class moves by -2e."""
+    monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", -1)
+
+    def run():
+        S = build(list(data.E13))
+        S._ap_class[19 % 13] += 26
+        return hilbert_function(S)
+
+    return run
+
+
 def _accept_every_leaf(monkeypatch):
     monkeypatch.setattr(search, "_candidate_is_hit", lambda e, gens: True)
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
@@ -331,6 +396,7 @@ def _accept_every_leaf(monkeypatch):
             _feed(lambda n, here, above: above & ~(1 << 57) if n == 2 else above),
             "not a landing",
         ),
+        (_min_plus_jump, "moves by other than 0 or e"),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
     ],
@@ -340,6 +406,7 @@ def _accept_every_leaf(monkeypatch):
         "apery_strata",
         "class_moves",
         "landing",
+        "min_plus_moves",
         "delta_audit",
         "search_reverify",
     ],
