@@ -10,8 +10,8 @@ A semigroup keeps only its Apery table: the Apery element of each residue
 class mod e.  Construction closes the generators over a window that doubles
 from 2*max(gens) until it holds f + e (at most (e-1)*max(gens) bits), reads
 the minimality test, f and the Apery table off that transient closure, and
-drops it.  Membership, gaps and
-genus are read off the table, with no window.
+drops it.  Membership, gaps and genus are read off the table, with no
+window.
 """
 
 from __future__ import annotations

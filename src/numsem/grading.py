@@ -87,11 +87,10 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
         here, above = above, shift_sum(above, gens, window_mask(f + (n + 2) * e))
 
 
-
 # OrderTable takes the min-plus fill when the window f + e is more than this
 # many times e * v.  Timed fill against fill on 400 semigroups (e = 5..160,
-# v = 2..14), the bitset fill is faster below a ratio of about 28 and the
-# min-plus fill above about 32 (1.1-1.4 times faster at 40-64).
+# v = 2..14), the bitset fill is faster below a ratio of about 28 (4 times
+# below 1) and the min-plus fill above about 32 (1.1-1.3 times at 32-64).
 _MIN_PLUS_ABOVE = 32
 
 

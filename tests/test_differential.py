@@ -170,8 +170,8 @@ def test_fast_paths_match_oracles_on_study_instances(check, study_instances):
         check(S)
 
 
-# Ladders: windows wide against e * v, where the order table's default is
-# the min-plus fill.
+# Ladders small enough for the oracles.  Their windows are wide against
+# e * v, but not past the min-plus threshold, so each fill is forced.
 LADDERS = [(30, 31), (60, 61, 62), (21, 23), (25, 26, 27), (16, 17, 19, 20)]
 
 # _MIN_PLUS_ABOVE values that force each fill of the order table.
@@ -199,15 +199,10 @@ def test_both_fills_match_oracles_on_study_instances_and_ladders(
 
 
 def _table_fields(gens):
+    """Every field of the order table; the repr keeps the dict key order."""
     table = order_table(build(list(gens)))
-    return (
-        table.hilbert,
-        table.tables,
-        [list(by) for by in table.tables.d_split.values()],
-        table.apery_strata,
-        [list(column) for column in table.columns],
-        table.stable_from,
-    )
+    columns = [list(column) for column in table.columns]
+    return repr((table.hilbert, table.tables, table.apery_strata, columns, table.stable_from))
 
 
 @pytest.mark.parametrize(
@@ -360,7 +355,8 @@ def _drop_c2(monkeypatch):
 
 def _min_plus_jump(monkeypatch):
     """The min-plus fill on E13 with the Apery element 19 raised by 2e:
-    level 1 still holds the generator 19, so its class moves by -2e."""
+    column 1 still reaches the generator 19 = 0 + 19, so its class moves
+    by -2e from level 0."""
     monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", -1)
 
     def run():
