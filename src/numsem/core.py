@@ -97,6 +97,8 @@ class NumericalSemigroup:
     others).  Instances are immutable.  An instance keeps its Apery table,
     built with it; the closure it is read off is dropped.  Only the order
     table (``grading.order_table``) is computed on first use and cached.
+    Pickling and copying rebuild from the generators, with every check and
+    without that cache.
     """
 
     __slots__ = ("gens", "e", "v", "f", "_ap_class", "_order_table")
@@ -158,6 +160,9 @@ class NumericalSemigroup:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("NumericalSemigroup is immutable")
+
+    def __reduce__(self):
+        return NumericalSemigroup, (self.gens,)
 
     # -- membership --------------------------------------------------------
 

@@ -20,9 +20,10 @@ Three layers:
   are filled depth-first over an incremental closure, and a prefix is cut as
   soon as one of its generators becomes a sum of the others: adding
   generators never makes a redundant one minimal again, so no completion of
-  that prefix is minimal.  Each surviving candidate is validated end to end,
-  and every hit is rebuilt from scratch and re-verified before it is
-  reported.
+  that prefix is minimal.  Each surviving leaf is built once with ``build``,
+  which backs up that pruning, and its levels are swept up to the first
+  decrease; every hit is the semigroup its leaf built, re-verified by the
+  full order table before it is reported.
 """
 
 from __future__ import annotations
@@ -31,21 +32,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ._bitset import (
-    bits_to_tuple,
-    class_table,
-    closure_bits,
-    frobenius_window,
-    irreducible_bits,
-    largest_missing,
-    window_mask,
-)
-from .core import NumericalSemigroup, build
+from ._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
+from .core import _WINDOW_BUDGET, NumericalSemigroup, build
 from .errors import (
     BadRange,
     ConstraintViolation,
     InternalInconsistency,
     NonMinimal,
+    ResourceLimit,
 )
 from .filtration import hilbert_function
 from .grading import _levels
@@ -265,58 +259,22 @@ class SearchConfig:
         return bound
 
 
-def _candidate_is_hit(e: int, gens: tuple[int, ...]) -> bool:
-    """Fast end-to-end check: gens minimally generate and H_R decreases.
-
-    ``gens[0]`` is e.  The order filtration is swept up to its first
-    decrease; at level 1 the check that the generators are exactly the
-    elements of order 1 backs up the minimality pruning of
-    ``_expand_skeleton``.
-    """
-    bits, limit = frobenius_window(gens, e)
-    f = largest_missing(bits, limit)
-    gen_bits = 0
-    for g in gens:
-        gen_bits |= 1 << g
+def _candidate_is_hit(S: NumericalSemigroup) -> bool:
+    """Fast check that H_R of a built leaf decreases: the order filtration
+    is swept up to its first decrease, or to stabilization, after which the
+    function never moves again."""
     h_prev = 1  # H_R(0)
-    for n, here, above in _levels(gens, f):
-        stratum = here & ~above
-        if n == 1 and stratum != gen_bits:
-            return False  # some generator is redundant
-        h_cur = stratum.bit_count()
+    for _, here, above in _levels(S.gens, S.f):
+        h_cur = (here & ~above).bit_count()
         if h_cur < h_prev:
             return True
         h_prev = h_cur
-    return False  # stabilized; the function never moves again
-
-
-def _completion_candidates(
-    closure: int, e: int, missing: list[int], bound: int
-) -> list[int] | None:
-    """Per missing residue class, the bitset of admissible completion values.
-
-    ``closure`` is the skeleton subsemigroup over [0, bound].  The Apery
-    element of a missing class in the final semigroup lies strictly below
-    the class's smallest element there (which has order >= 2), in steps of
-    e.  A class whose smallest element lies above the window keeps every
-    value up to ``bound``: that cap cuts no value of the class.
-    """
-    # The skeleton holds e, so a class's smallest element x has x - e outside;
-    # a nonzero class reads 0 when the window holds none of it.
-    smallest = class_table(closure & ~(closure << e), e)
-    choices: list[int] = []
-    for cls in missing:
-        cap = min(bound, smallest[cls] - e) if smallest[cls] else bound
-        values = sum(1 << x for x in range(cls + e, cap + 1, e))
-        if not values:
-            return None
-        choices.append(values)
-    return choices
+    return False
 
 
 def _expand_skeleton(
     e: int, forced: tuple[int, ...], occupied: set[int], bound: int
-) -> list[tuple[int, ...]]:
+) -> list[NumericalSemigroup]:
     """Complete a forced skeleton over its missing classes and validate.
 
     The missing classes are filled depth-first, one generator per class,
@@ -324,9 +282,12 @@ def _expand_skeleton(
     monotone (more generators never make a redundant one minimal again), so
     a prefix is cut as soon as any chosen generator, forced ones included,
     becomes a sum of the others; the skeleton itself is checked at the root.
-    Surviving leaves go to the end-to-end check.
+    Each surviving leaf is built once with ``build``, the backstop of that
+    minimality proof, and the semigroup it built is the hit when its levels
+    decrease.  Every generator is at most ``bound`` and all e classes are
+    represented, so ``build`` raising at a leaf is an engine fault.
     """
-    hits: list[tuple[int, ...]] = []
+    hits: list[NumericalSemigroup] = []
     if max(forced) > bound:
         return hits
     mask = window_mask(bound)
@@ -336,17 +297,23 @@ def _expand_skeleton(
         root_gens |= 1 << g
     if irreducible_bits(root, forced, mask) & root_gens != root_gens:
         return hits
-    missing = sorted(set(range(e)) - occupied)
-    choices = _completion_candidates(root, e, missing, bound)
-    if choices is None:
-        return hits
+    # A missing class's Apery element lies below its smallest element in the
+    # skeleton's closure (of order >= 2), in steps of e; a class with no
+    # value left ends the skeleton.
+    choices = []
+    for c in sorted(set(range(e)) - occupied):
+        values = sum(1 << x for x in range(c + e, bound + 1, e)) & ~root
+        if not values:
+            return hits
+        choices.append(values)
     # Each entry: (classes filled, generators, their closure, generator bits).
     stack = [(0, forced, root, root_gens)]
     while stack:
         depth, gens, closure, gen_bits = stack.pop()
         if depth == len(choices):
-            if _candidate_is_hit(e, gens):
-                hits.append(tuple(sorted(gens)))
+            S = build(gens)
+            if _candidate_is_hit(S):
+                hits.append(S)
             continue
         # The closure holds e, so a reached value of a class leaves out every
         # later one too: what remains is the values below the first reached.
@@ -380,10 +347,10 @@ def _offset3_class_pairs(e: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _search_offset3_task(args) -> list[tuple[int, ...]]:
+def _search_offset3_task(args) -> list[NumericalSemigroup]:
     """All validated hits for one (e, n_i) cell of the v = e-3 search."""
     e, n_i, bound, class_pairs = args
-    hits: list[tuple[int, ...]] = []
+    hits: list[NumericalSemigroup] = []
     ci = n_i % e
     partners = set()
     for a, b in class_pairs:
@@ -411,7 +378,7 @@ def _search_offset3_task(args) -> list[tuple[int, ...]]:
     return hits
 
 
-def _search_offset4_task(args) -> list[tuple[int, ...]]:
+def _search_offset4_task(args) -> list[NumericalSemigroup]:
     """All validated hits for one (e, n_i) cell of the v = e-4 search.
 
     Covers the two exhaustive shapes of a v = e-4 decrease: the
@@ -419,7 +386,7 @@ def _search_offset4_task(args) -> list[tuple[int, ...]]:
     level 2 or 3, and the (4, 0) three-generator shapes.
     """
     e, n_i, bound = args
-    hits: list[tuple[int, ...]] = []
+    hits: list[NumericalSemigroup] = []
     a = n_i
     values = [x for x in range(e + 1, bound + 1) if x % e]
 
@@ -470,9 +437,16 @@ def _search_offset4_task(args) -> list[tuple[int, ...]]:
 
 def _tasks_for(config: SearchConfig) -> list[tuple]:
     lo, hi = config.e_range
+    bounds = [(e, config.bound_for(e)) for e in range(lo, hi + 1)]
+    # Every leaf goes through build, which refuses e * max(gens) above the
+    # window budget; refuse a bound it would cut before listing any task.
+    if bounds and hi * bounds[-1][1] > _WINDOW_BUDGET:
+        raise ResourceLimit(
+            "multiplicity %d times generator bound %d exceeds the window budget %d"
+            % (hi, bounds[-1][1], _WINDOW_BUDGET)
+        )
     tasks = []
-    for e in range(lo, hi + 1):
-        bound = config.bound_for(e)
+    for e, bound in bounds:
         if config.v_offset == 3:
             pairs = tuple(_offset3_class_pairs(e))
             if not pairs:
@@ -487,7 +461,7 @@ def _tasks_for(config: SearchConfig) -> list[tuple]:
     return tasks
 
 
-def _run_task(task) -> list[tuple[int, ...]]:
+def _run_task(task) -> list[NumericalSemigroup]:
     kind, args = task
     if kind == 3:
         return _search_offset3_task(args)
@@ -499,30 +473,29 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
 
     Deterministic for any worker count: results are deduplicated by their
     minimal generating set and sorted by (e, generators).  Every hit is
-    rebuilt from scratch and re-verified as decreasing before it is
-    returned; an empty list is a valid outcome.
+    re-verified as decreasing by the full order table on the semigroup its
+    leaf built before it is returned; an empty list is a valid outcome.
+    Raises ResourceLimit when e * bound exceeds the window budget.
     """
     lo, hi = config.e_range
     if lo > hi:
         return []
     tasks = _tasks_for(config)
-    raw: set[tuple[int, ...]] = set()
+    found: dict[tuple[int, ...], NumericalSemigroup] = {}
     # A fork pool starts all of its workers at once, so never ask for more
     # than there are tasks or CPUs.
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         for task in tasks:
-            raw.update(_run_task(task))
+            found.update((S.gens, S) for S in _run_task(task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_task, tasks, chunksize=8):
-                raw.update(chunk)
-    out = []
-    for gens in sorted(raw):
-        S = build(gens)
+                found.update((S.gens, S) for S in chunk)
+    out = [found[gens] for gens in sorted(found)]
+    for S in out:
         if not hilbert_function(S).is_decreasing:
-            raise InternalInconsistency("search hit fails re-verification: %s" % (gens,))
-        out.append(S)
+            raise InternalInconsistency("search hit fails re-verification: %s" % (S.gens,))
     return out
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from numsem import UsageError
+from numsem import UsageError, search
 from numsem.cli import _CHECKS, Report, execute, main, parse, render
 
 import data
@@ -113,6 +113,22 @@ def test_validation_error_exit(capsys):
 
 def test_unaffordable_generators_exit_1(capsys):
     code, out, err = run(["info", "99999999999999999999,2"], capsys)
+    assert code == 1
+    assert "error: ResourceLimit" in out
+    assert err == ""
+
+
+def test_search_over_budget_exit_1(capsys, monkeypatch):
+    """A bound no leaf could be built under fails before any task is listed."""
+
+    def listed(e):
+        raise AssertionError("tasks listed for e = %d" % e)
+
+    monkeypatch.setattr(search, "_offset3_class_pairs", listed)
+    code, out, err = run(
+        ["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "1000000e"],
+        capsys,
+    )
     assert code == 1
     assert "error: ResourceLimit" in out
     assert err == ""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -11,6 +13,7 @@ from numsem import (
     NonMinimal,
     ResourceLimit,
     build,
+    hilbert_function,
     parse_generators,
 )
 from numsem.corpus import minimalize
@@ -76,6 +79,22 @@ def test_build_keeps_no_window():
         tracemalloc.stop()
     assert S.f == 998999
     assert held < 32 * 1024
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda S: pickle.loads(pickle.dumps(S)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_pickle_and_copy_rebuild(clone, study_instances):
+    """A clone is rebuilt from the generators, without the cached order table."""
+    for S in study_instances + [build([1000, 1001])]:
+        want = hilbert_function(S)
+        T = clone(S)
+        assert T == S and T is not S
+        assert T._order_table is None
+        assert (T.f, T.apery()) == (S.f, S.apery())
+        assert hilbert_function(T) == want
 
 
 def test_build_accepts_naturals():

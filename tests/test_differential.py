@@ -135,6 +135,11 @@ def check_tables(S):
     assert t.k0 == min(want, default=None)
 
 
+def check_leaf(S):
+    """The search's early-exit sweep against the full order table."""
+    assert search._candidate_is_hit(S) == hilbert_function(S).is_decreasing
+
+
 CHECKS = [
     check_apery,
     check_contains,
@@ -144,6 +149,7 @@ CHECKS = [
     check_orders,
     check_columns,
     check_tables,
+    check_leaf,
 ]
 
 
@@ -368,7 +374,7 @@ def _min_plus_jump(monkeypatch):
 
 
 def _accept_every_leaf(monkeypatch):
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda e, gens: True)
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from numsem import (
     BadRange,
     ConstraintViolation,
+    ResourceLimit,
     SearchConfig,
+    SemigroupError,
     SpParameters,
     build,
     check_offset3,
@@ -111,6 +113,22 @@ def test_search_empty_range():
     assert search_decreasing(cfg) == []
 
 
+def test_search_refuses_bounds_over_the_window_budget(monkeypatch):
+    """Every leaf is built, and build refuses e * max(gens) > 2**24, so a
+    search whose top multiplicity times its bound passes that is refused
+    before any task is listed.  13 * 1290556 is just over 2**24; 12 times
+    it is not."""
+
+    def listed(e):
+        raise AssertionError("tasks listed for e = %d" % e)
+
+    monkeypatch.setattr(search, "_offset3_class_pairs", listed)
+    for e_range in [(13, 13), (12, 13)]:
+        with pytest.raises(ResourceLimit, match="window budget"):
+            search_decreasing(SearchConfig(e_range, 3, gen_bound=1290556))
+    assert search_decreasing(SearchConfig((13, 12), 3, gen_bound_per_e=10**6)) == []
+
+
 @pytest.mark.parametrize(
     "e_range", [(0, 0), (-3, -1), (0, 1), (1, 0)], ids=["0..0", "-3..-1", "0..1", "1..0"]
 )
@@ -193,13 +211,14 @@ def test_search_agrees_with_raw_enumeration():
     what builds and decreases."""
     import itertools
 
-    from numsem.search import _candidate_is_hit
-
-    brute = [
-        tuple(sorted((10,) + combo))
-        for combo in itertools.combinations(range(11, 29), 6)
-        if _candidate_is_hit(10, (10,) + combo)
-    ]
+    brute = []
+    for combo in itertools.combinations(range(11, 29), 6):
+        try:
+            S = build((10,) + combo)
+        except SemigroupError:
+            continue  # gcd > 1 or not minimal
+        if hilbert_function(S).is_decreasing:
+            brute.append(S.gens)
     cfg = SearchConfig(e_range=(10, 10), v_offset=3, gen_bound=30)
     assert sorted(brute) == sorted(S.gens for S in search_decreasing(cfg))
     assert brute == []
