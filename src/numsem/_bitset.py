@@ -9,7 +9,8 @@ Never test one bit per loop step: ``(bits >> x) & 1`` copies the whole
 window, so a loop over x costs O(window^2).  Intersect, count and read sets
 out whole: ``bits_to_tuple`` cuts the int into 64-bit words once and, on a
 sparse int, steps only through the nonzero ones; many point reads go through
-one ``to_bytes`` of the int.
+one ``to_bytes`` of the int.  A fold through ``add_generator`` tests one
+membership per generator inside a closure step, not one per position.
 """
 
 from __future__ import annotations
@@ -43,21 +44,37 @@ def closure_bits(gens: Iterable[int], limit: int, bits: int = 1) -> int:
     return bits
 
 
-def frobenius_window(gens: Sequence[int], e: int) -> tuple[int, int]:
-    """(bits, limit): the closure of ``gens`` over [0, limit], a window that
-    holds f + e, so that f is ``largest_missing(bits, limit)``.
+def add_generator(bits: int, gen_bits: int, x: int, limit: int) -> int:
+    """The monoid ``bits`` over [0, limit] grown by x <= limit, or 0 when x
+    is a member or makes some h in ``gen_bits`` x plus a member.
 
-    ``gens`` holds the multiplicity e.  The window starts at twice the
-    largest generator and doubles until its top e bits are all members;
-    every larger integer is then a member too, one of them plus a multiple
-    of e.  It stops at the cap max(e - 1, 1) * max(gens) + 1, which holds
-    f + e whenever the gcd is 1 (every class mod e is reached with at most
-    e - 1 generators); a set of gcd > 1 never shows the run and gets the cap.
+    Only a sum that uses x can make a generator h redundant, and h - x is
+    its rest, so a fold through this step succeeds iff the set is minimal,
+    in any order.  A sum has its terms below it: an ascending fold may pass
+    0 for ``gen_bits``, and it fails first at the smallest redundant value.
+    """
+    # closure_bits((x,), limit, bits), inlined: one call per generator.
+    mask = (2 << limit) - 1
+    grown, shift = bits, x
+    while shift <= limit:
+        grown |= (grown << shift) & mask
+        shift <<= 1
+    # x is a member iff it adds nothing.
+    return 0 if grown == bits or gen_bits >> x & grown else grown
+
+
+def frobenius_window(bits: int, gens: Sequence[int], e: int) -> tuple[int, int]:
+    """(bits, limit): the closure ``bits`` of ``gens`` over [0, 2 max(gens)]
+    grown to a window [0, limit] that holds f + e, so that f is
+    ``largest_missing(bits, limit)``.
+
+    ``gens`` holds the multiplicity e.  The window doubles until its top e
+    bits are all members, so that every larger integer is one too; it stops
+    at the cap max(e - 1, 1) * max(gens) + 1, which holds f + e when the gcd
+    is 1 (every class mod e is reached with at most e - 1 generators).
     """
     top = max(gens)
-    cap = max(e - 1, 1) * top + 1
-    limit = min(2 * top, cap)
-    bits = closure_bits(gens, limit)
+    cap, limit = max(e - 1, 1) * top + 1, 2 * top
     while limit < cap and bits >> (limit - e + 1) != (1 << e) - 1:
         limit = min(2 * limit, cap)
         bits = closure_bits(gens, limit, bits)
@@ -75,20 +92,6 @@ def shift_sum(bits: int, gens: Iterable[int], mask: int) -> int:
     for g in gens:
         out |= bits << g
     return out & mask
-
-
-def irreducible_bits(bits: int, gens: Iterable[int], mask: int) -> int:
-    """Level 1 minus level 2: the nonzero members of the monoid ``bits``
-    that are not a sum of two nonzero members.
-
-    ``bits`` must be the closure of ``gens`` over the window of ``mask``.  A
-    generator g inside the window is minimal iff its bit survives, because a
-    sum equal to g has all its terms below g.  So over [0, max(gens)] this is
-    the minimal generating set, and a generator missing from it is a sum of
-    the others.
-    """
-    level1 = bits & ~1
-    return level1 & ~shift_sum(level1, gens, mask)
 
 
 def largest_missing(bits: int, limit: int) -> int:

@@ -8,10 +8,10 @@ Frobenius number f.
 
 A semigroup keeps only its Apery table: the Apery element of each residue
 class mod e.  Construction closes the generators over a window that doubles
-from 2*max(gens) until it holds f + e (at most (e-1)*max(gens) bits), reads
-the minimality test, f and the Apery table off that transient closure, and
-drops it.  Membership, gaps and genus are read off the table, with no
-window.
+from 2*max(gens) until it holds f + e (at most max(e-1, 2)*max(gens) bits),
+reads f and the Apery table off that transient closure, and drops it.  The
+first window is grown one generator at a time, which is the minimality test.
+Membership, gaps and genus are read off the table, with no window.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ._bitset import (
+    add_generator,
     class_table,
     frobenius_window,
-    irreducible_bits,
     largest_missing,
     window_mask,
 )
@@ -47,10 +47,10 @@ __all__ = [
     "parse_generators",
 ]
 
-# e * max(gens) bounds every window the package allocates: the closure at
-# construction spans at most (e-1) * max(gens) bits and is dropped once the
-# Apery table is read off it; the level sweep's windows are at most e**2 bits
-# wider, and its cached Apery columns take at most 8 * e**2 bytes.
+# max(e, 2) * max(gens) bounds every window the package allocates: the
+# construction closure, at most max(e-1, 2) * max(gens) bits, is dropped once
+# the Apery table is read off it; the level sweep's windows are at most e**2
+# bits wider, and its cached Apery columns take at most 8 * e**2 bytes.
 _WINDOW_BUDGET = 1 << 24
 
 
@@ -123,18 +123,13 @@ class NumericalSemigroup:
         common = math.gcd(*ordered)
         if common != 1:
             raise GcdNotOne("gcd of %s is %d" % (ordered, common))
-        # The window holds f + e and [0, top].
-        bits, cutoff = frobenius_window(ordered, e)
-        # A generator is redundant iff the others already reach it, i.e. iff
-        # it is a sum of two nonzero members; report the smallest such.
-        gen_bits = 0
+        # The first to fail the ascending fold is the smallest redundant one.
+        bits = 1
         for g in ordered:
-            gen_bits |= 1 << g
-        prefix = window_mask(top)
-        redundant = gen_bits & ~irreducible_bits(bits & prefix, ordered, prefix)
-        if redundant:
-            g = (redundant & -redundant).bit_length() - 1
-            raise NonMinimal("generator %d is a sum of the others" % g)
+            bits = add_generator(bits, 0, g, 2 * top)
+            if not bits:
+                raise NonMinimal("generator %d is a sum of the others" % g)
+        bits, cutoff = frobenius_window(bits, ordered, e)
         f = largest_missing(bits, cutoff)
         object.__setattr__(self, "gens", tuple(ordered))
         object.__setattr__(self, "e", e)

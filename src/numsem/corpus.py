@@ -9,18 +9,22 @@ from __future__ import annotations
 import math
 import random
 
-from ._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
+from ._bitset import add_generator
 from .core import NumericalSemigroup, build
 
 __all__ = ["minimalize", "random_corpus", "random_semigroup", "symmetric_pairs"]
 
 
 def minimalize(values: list[int]) -> tuple[int, ...]:
-    """Minimal generating set of the submonoid generated by ``values``."""
+    """Minimal generating set of the submonoid generated by ``values``: the
+    ascending values that the smaller ones do not reach."""
     vals = sorted(set(values))
-    limit = max(vals)
-    mask = window_mask(limit)
-    return bits_to_tuple(irreducible_bits(closure_bits(vals, limit), vals, mask))
+    bits, kept = 1, ()
+    for x in vals:
+        grown = add_generator(bits, 0, x, vals[-1])
+        if grown:
+            bits, kept = grown, kept + (x,)
+    return kept
 
 
 def random_semigroup(

@@ -16,11 +16,12 @@ Three layers:
   complete the remaining residue classes.  Every candidate value for a
   missing class sits below that class's smallest element in the subsemigroup
   generated by the skeleton (the final Apery element can only be smaller),
-  so the enumeration is exhaustive within the generator bound.  The classes
-  are filled depth-first over an incremental closure, and a prefix is cut as
-  soon as one of its generators becomes a sum of the others: adding
-  generators never makes a redundant one minimal again, so no completion of
-  that prefix is minimal.  Each surviving leaf is built once with ``build``,
+  so the enumeration is exhaustive within the generator bound; only pairs
+  whose skeletons fit the bound are listed.  The classes are filled
+  depth-first, one ``add_generator`` step each, and a prefix is cut as soon
+  as one of its generators becomes a sum of the others: adding generators
+  never makes a redundant one minimal again, so no completion of that
+  prefix is minimal.  Each surviving leaf is built once with ``build``,
   which backs up that pruning, and its levels are swept up to the first
   decrease; every hit is the semigroup its leaf built, re-verified by the
   full order table before it is reported.
@@ -32,7 +33,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
+from ._bitset import add_generator, bits_to_tuple
 from .core import _WINDOW_BUDGET, NumericalSemigroup, build
 from .errors import (
     BadRange,
@@ -277,26 +278,25 @@ def _expand_skeleton(
 ) -> list[NumericalSemigroup]:
     """Complete a forced skeleton over its missing classes and validate.
 
-    The missing classes are filled depth-first, one generator per class,
-    growing the closure over [0, bound] by each chosen value.  Redundancy is
-    monotone (more generators never make a redundant one minimal again), so
-    a prefix is cut as soon as any chosen generator, forced ones included,
-    becomes a sum of the others; the skeleton itself is checked at the root.
-    Each surviving leaf is built once with ``build``, the backstop of that
-    minimality proof, and the semigroup it built is the hit when its levels
-    decrease.  Every generator is at most ``bound`` and all e classes are
-    represented, so ``build`` raising at a leaf is an engine fault.
+    The skeleton's generators, then one value per missing class chosen
+    depth-first, are folded through ``add_generator`` over [0, bound].
+    Redundancy is monotone (more generators never make a redundant one
+    minimal again), so a failed step cuts its whole prefix, and a failed
+    skeleton is dropped.  Each surviving leaf is built once with ``build``,
+    the backstop of that minimality proof, and the semigroup it built is the
+    hit when its levels decrease.  Every generator is at most ``bound`` and
+    all e classes are represented, so ``build`` raising at a leaf is an
+    engine fault.
     """
     hits: list[NumericalSemigroup] = []
     if max(forced) > bound:
         return hits
-    mask = window_mask(bound)
-    root = closure_bits(forced, bound)
-    root_gens = 0
+    root, root_gens = 1, 0
     for g in forced:
+        root = add_generator(root, root_gens, g, bound)
+        if not root:
+            return hits
         root_gens |= 1 << g
-    if irreducible_bits(root, forced, mask) & root_gens != root_gens:
-        return hits
     # A missing class's Apery element lies below its smallest element in the
     # skeleton's closure (of order >= 2), in steps of e; a class with no
     # value left ends the skeleton.
@@ -318,11 +318,9 @@ def _expand_skeleton(
         # The closure holds e, so a reached value of a class leaves out every
         # later one too: what remains is the values below the first reached.
         for x in bits_to_tuple(choices[depth] & ~closure):
-            grown = closure_bits((x,), bound, closure)
-            grown_gens = gens + (x,)
-            grown_bits = gen_bits | (1 << x)
-            if irreducible_bits(grown, grown_gens, mask) & grown_bits == grown_bits:
-                stack.append((depth + 1, grown_gens, grown, grown_bits))
+            grown = add_generator(closure, gen_bits, x, bound)
+            if grown:
+                stack.append((depth + 1, gens + (x,), grown, gen_bits | 1 << x))
     return hits
 
 
@@ -360,7 +358,8 @@ def _search_offset3_task(args) -> list[NumericalSemigroup]:
             partners.add(a)
     if not partners:
         return hits
-    for n_j in range(n_i + 1, bound + 1):
+    # 3n_j - e is forced, so n_j <= (bound + e) / 3.
+    for n_j in range(n_i + 1, (bound + e) // 3 + 1):
         if n_j % e not in partners:
             continue
         forced = (
@@ -388,10 +387,9 @@ def _search_offset4_task(args) -> list[NumericalSemigroup]:
     e, n_i, bound = args
     hits: list[NumericalSemigroup] = []
     a = n_i
-    values = [x for x in range(e + 1, bound + 1) if x % e]
-
-    for n_j in values:
-        if n_j == a or n_j % e == a % e:
+    # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
+    for n_j in range(e + 1, (bound + e - a) // 2 + 1):
+        if n_j % e == 0 or n_j % e == a % e:
             continue
         b = n_j
         ap2 = (2 * a % e, (a + b) % e, 2 * b % e)
@@ -412,10 +410,11 @@ def _search_offset4_task(args) -> list[NumericalSemigroup]:
         # (4, 0): three-generator shapes.  Whether a shape's 13 classes are
         # distinct depends only on c mod e, so each residue r of c is tested
         # once per (a, b) and only the values of admissible residues are tried.
-        # Ten of the 13 classes do not depend on c; if they collide, no c fits.
+        # Ten of the 13 classes do not depend on c; if they collide, no c fits,
+        # and none fits either when the base's 3b - e is above the bound.
         fixed = {x % e for x in (0, a, b, 3 * a, 2 * a + b, a + 2 * b, 3 * b)}
         fixed |= set(ap2)
-        if len(fixed) < 10:
+        if len(fixed) < 10 or 3 * b - e > bound:
             continue
         for r in set(range(1, e)) - fixed:
             occupied1 = fixed | {r, (2 * a + r) % e, (a + r) % e}
@@ -445,19 +444,17 @@ def _tasks_for(config: SearchConfig) -> list[tuple]:
             "multiplicity %d times generator bound %d exceeds the window budget %d"
             % (hi, bounds[-1][1], _WINDOW_BUDGET)
         )
+    # Every skeleton forces 3n_i - e or more: n_i <= (bound + e) / 3.
     tasks = []
     for e, bound in bounds:
+        extra = ()
         if config.v_offset == 3:
-            pairs = tuple(_offset3_class_pairs(e))
-            if not pairs:
+            extra = (tuple(_offset3_class_pairs(e)),)
+            if not extra[0]:
                 continue
-            for n_i in range(e + 1, bound + 1):
-                if n_i % e:
-                    tasks.append((3, (e, n_i, bound, pairs)))
-        else:
-            for n_i in range(e + 1, bound + 1):
-                if n_i % e:
-                    tasks.append((4, (e, n_i, bound)))
+        for n_i in range(e + 1, (bound + e) // 3 + 1):
+            if n_i % e:
+                tasks.append((config.v_offset, (e, n_i, bound) + extra))
     return tasks
 
 

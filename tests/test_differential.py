@@ -31,7 +31,7 @@ from numsem import (
     strata_tables,
 )
 from numsem import core, filtration, grading, search
-from numsem._bitset import bits_to_tuple, closure_bits, irreducible_bits, window_mask
+from numsem._bitset import add_generator, bits_to_tuple, closure_bits
 from numsem.corpus import minimalize
 
 import data
@@ -278,14 +278,19 @@ def test_bits_to_tuple_round_trip_sparse(positions):
     st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True)
 )
 def test_minimality_test_matches_oracle(gens):
-    """The one minimality test (level 1 minus level 2 over [0, max gen])
-    against "g is in the closure of the others", in the three places that
-    read it: the helper itself, ``minimalize`` and validation."""
+    """The one minimality test (``add_generator``, folded over the ascending
+    generators) against "g is in the closure of the others", in the three
+    places that read it: the step itself, ``minimalize`` and validation."""
     gens = sorted(gens)
     want = oracles.redundant(gens)
-    limit = gens[-1]
-    irreducible = irreducible_bits(closure_bits(gens, limit), gens, window_mask(limit))
-    assert set(gens) - set(bits_to_tuple(irreducible)) == want
+    bits, gen_bits, failed = 1, 0, set()
+    for g in gens:
+        grown = add_generator(bits, gen_bits, g, gens[-1])
+        if grown:
+            bits, gen_bits = grown, gen_bits | 1 << g
+        else:
+            failed.add(g)
+    assert failed == want
     assert minimalize(gens) == tuple(g for g in gens if g not in want)
     if want and math.gcd(*gens) == 1:
         message = "^generator %d is a sum of the others$" % min(want)
@@ -293,6 +298,34 @@ def test_minimality_test_matches_oracle(gens):
             build(gens)
     elif math.gcd(*gens) == 1:
         assert build(gens).gens == tuple(gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True),
+    st.data(),
+)
+def test_add_generator_fold_in_any_order(values, data):
+    """Folding ``add_generator`` as the search walk does (e first, the rest
+    in any order, a window reaching past the largest value) succeeds iff the
+    values are minimal, and then ends at their closure."""
+    e = min(values)
+    order = [e] + data.draw(st.permutations([x for x in values if x != e]))
+    limit = max(values) + data.draw(st.integers(min_value=0, max_value=60))
+    bits, gen_bits = 1, 0
+    for x in order:
+        bits = add_generator(bits, gen_bits, x, limit)
+        if not bits:
+            break
+        gen_bits |= 1 << x
+    assert bool(bits) == (not oracles.redundant(sorted(values)))
+    if bits:
+        assert bits == closure_bits(values, limit)
+
+
+def test_duplicate_generator_message():
+    with pytest.raises(NonMinimal, match="^generator 19 appears twice$"):
+        build([13, 24, 19, 19])
 
 
 def test_two_generator_closed_forms_at_scale():
