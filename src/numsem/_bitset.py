@@ -63,18 +63,18 @@ def add_generator(bits: int, gen_bits: int, x: int, limit: int) -> int:
     return 0 if grown == bits or gen_bits >> x & grown else grown
 
 
-def frobenius_window(bits: int, gens: Sequence[int], e: int) -> tuple[int, int]:
-    """(bits, limit): the closure ``bits`` of ``gens`` over [0, 2 max(gens)]
-    grown to a window [0, limit] that holds f + e, so that f is
-    ``largest_missing(bits, limit)``.
+def frobenius_window(bits: int, gens: Sequence[int], limit: int) -> tuple[int, int]:
+    """(bits, limit): the closure ``bits`` of the ascending ``gens``, exact
+    over [0, limit] for some limit >= max(gens), grown to a window that holds
+    f + e, so that f is ``largest_missing`` of the returned pair.
 
-    ``gens`` holds the multiplicity e.  The window doubles until its top e
-    bits are all members, so that every larger integer is one too; it stops
-    at the cap max(e - 1, 1) * max(gens) + 1, which holds f + e when the gcd
-    is 1 (every class mod e is reached with at most e - 1 generators).
+    The window doubles from ``limit`` until its top e bits are all members,
+    so that every larger integer is one too; it stops at the cap
+    max(e - 1, 1) * max(gens) + 1, which holds f + e when the gcd is 1 (every
+    class mod e is reached with at most e - 1 generators).
     """
-    top = max(gens)
-    cap, limit = max(e - 1, 1) * top + 1, 2 * top
+    e, top = gens[0], gens[-1]
+    cap = max(e - 1, 1) * top + 1
     while limit < cap and bits >> (limit - e + 1) != (1 << e) - 1:
         limit = min(2 * limit, cap)
         bits = closure_bits(gens, limit, bits)

@@ -7,11 +7,12 @@ embedding dimension v, and the largest integer outside the semigroup is the
 Frobenius number f.
 
 A semigroup keeps only its Apery table: the Apery element of each residue
-class mod e.  Construction closes the generators over a window that doubles
-from 2*max(gens) until it holds f + e (at most max(e-1, 2)*max(gens) bits),
-reads f and the Apery table off that transient closure, and drops it.  The
-first window is grown one generator at a time, which is the minimality test.
-Membership, gaps and genus are read off the table, with no window.
+class mod e.  Construction grows the generators' closure one at a time over
+[0, 2*max(gens)], which is the minimality test; one tail then doubles that
+window until it holds f + e (at most max(e-1, 2)*max(gens) bits), reads f
+and the Apery table off it, and drops it.  ``_from_closure`` enters that
+tail with a caller's closure (a search leaf, a corpus draw).  Membership,
+gaps and genus are read off the table, with no window.
 """
 
 from __future__ import annotations
@@ -129,11 +130,25 @@ class NumericalSemigroup:
             bits = add_generator(bits, 0, g, 2 * top)
             if not bits:
                 raise NonMinimal("generator %d is a sum of the others" % g)
-        bits, cutoff = frobenius_window(bits, ordered, e)
+        self._settle(tuple(ordered), bits, 2 * top)
+
+    @classmethod
+    def _from_closure(cls, gens: tuple[int, ...], bits: int, limit: int) -> NumericalSemigroup:
+        """The semigroup of ``gens``, ascending, minimal and of gcd 1, from
+        their closure ``bits``, exact over [0, limit >= max(gens)]."""
+        S = object.__new__(cls)
+        S._settle(gens, bits, limit)
+        return S
+
+    def _settle(self, gens: tuple[int, ...], bits: int, limit: int) -> None:
+        """Grow the closure ``bits`` of ``gens``, exact over [0, limit], to
+        hold f + e; read, check and set f and the Apery table."""
+        e = gens[0]
+        bits, cutoff = frobenius_window(bits, gens, limit)
         f = largest_missing(bits, cutoff)
-        object.__setattr__(self, "gens", tuple(ordered))
+        object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "v", len(ordered))
+        object.__setattr__(self, "v", len(gens))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_order_table", None)
         # The Apery set is the members s with s - e outside.  The theorems

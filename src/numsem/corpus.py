@@ -18,13 +18,18 @@ __all__ = ["minimalize", "random_corpus", "random_semigroup", "symmetric_pairs"]
 def minimalize(values: list[int]) -> tuple[int, ...]:
     """Minimal generating set of the submonoid generated by ``values``: the
     ascending values that the smaller ones do not reach."""
+    return _fold(values)[0]
+
+
+def _fold(values: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """``minimalize``'s set, its closure over [0, limit] and limit = max(values)."""
     vals = sorted(set(values))
-    bits, kept = 1, ()
+    bits, kept, limit = 1, (), vals[-1] if vals else 0
     for x in vals:
-        grown = add_generator(bits, 0, x, vals[-1])
+        grown = add_generator(bits, 0, x, limit)
         if grown:
             bits, kept = grown, kept + (x,)
-    return kept
+    return kept, bits, limit
 
 
 def random_semigroup(
@@ -42,7 +47,7 @@ def random_semigroup(
     values = [e] + pool
     while math.gcd(*values) != 1:
         values.append(rng.randint(e + 1, span * e))
-    return build(minimalize(values))
+    return NumericalSemigroup._from_closure(*_fold(values))
 
 
 def random_dense_semigroup(
@@ -60,7 +65,7 @@ def random_dense_semigroup(
     values = [e] + pool
     while math.gcd(*values) != 1:
         values.append(rng.randint(e + 1, 3 * e))
-    return build(minimalize(values))
+    return NumericalSemigroup._from_closure(*_fold(values))
 
 
 def random_corpus(

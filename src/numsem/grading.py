@@ -326,6 +326,9 @@ class OrderTable:
                     "%d classes leave level %d, which holds %d elements"
                     % ((sums[n + 1] - sums[n]) // e, n, values[n])
                 )
+        # M \ 2M is the minimal generating set, so a non-minimal S fails here.
+        if values[1] != S.v:
+            raise InternalInconsistency("H_R(1) = %d != v = %d" % (values[1], S.v))
 
         self.e = e
         self.columns = columns

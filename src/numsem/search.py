@@ -21,10 +21,9 @@ Three layers:
   depth-first, one ``add_generator`` step each, and a prefix is cut as soon
   as one of its generators becomes a sum of the others: adding generators
   never makes a redundant one minimal again, so no completion of that
-  prefix is minimal.  Each surviving leaf is built once with ``build``,
-  which backs up that pruning, and its levels are swept up to the first
-  decrease; every hit is the semigroup its leaf built, re-verified by the
-  full order table before it is reported.
+  prefix is minimal.  Each surviving leaf is made from the closure the walk
+  holds for it and swept up to its first decrease; every hit is re-verified
+  by the full order table, whose H_R(1) = v check backs up the pruning.
 """
 
 from __future__ import annotations
@@ -261,7 +260,7 @@ class SearchConfig:
 
 
 def _candidate_is_hit(S: NumericalSemigroup) -> bool:
-    """Fast check that H_R of a built leaf decreases: the order filtration
+    """Fast check that H_R of a leaf decreases: the order filtration
     is swept up to its first decrease, or to stabilization, after which the
     function never moves again."""
     h_prev = 1  # H_R(0)
@@ -282,11 +281,12 @@ def _expand_skeleton(
     depth-first, are folded through ``add_generator`` over [0, bound].
     Redundancy is monotone (more generators never make a redundant one
     minimal again), so a failed step cuts its whole prefix, and a failed
-    skeleton is dropped.  Each surviving leaf is built once with ``build``,
-    the backstop of that minimality proof, and the semigroup it built is the
-    hit when its levels decrease.  Every generator is at most ``bound`` and
-    all e classes are represented, so ``build`` raising at a leaf is an
-    engine fault.
+    skeleton is dropped.  A surviving leaf's fold is its minimality proof,
+    and its closure is exact over [0, bound]; the semigroup is made from
+    that closure, whose window grows when an Apery element lies above the
+    bound, and is the hit when its levels decrease.  Every class mod e holds
+    a forced, occupied or chosen element, so the gcd is 1, and the Apery
+    checks raising at a leaf is an engine fault.
     """
     hits: list[NumericalSemigroup] = []
     if max(forced) > bound:
@@ -311,7 +311,7 @@ def _expand_skeleton(
     while stack:
         depth, gens, closure, gen_bits = stack.pop()
         if depth == len(choices):
-            S = build(gens)
+            S = NumericalSemigroup._from_closure(tuple(sorted(gens)), closure, bound)
             if _candidate_is_hit(S):
                 hits.append(S)
             continue
@@ -437,8 +437,8 @@ def _search_offset4_task(args) -> list[NumericalSemigroup]:
 def _tasks_for(config: SearchConfig) -> list[tuple]:
     lo, hi = config.e_range
     bounds = [(e, config.bound_for(e)) for e in range(lo, hi + 1)]
-    # Every leaf goes through build, which refuses e * max(gens) above the
-    # window budget; refuse a bound it would cut before listing any task.
+    # The walk's window [0, bound] and each leaf's grown one fit in e * bound
+    # bits; refuse a bound above the window budget before listing any task.
     if bounds and hi * bounds[-1][1] > _WINDOW_BUDGET:
         raise ResourceLimit(
             "multiplicity %d times generator bound %d exceeds the window budget %d"
@@ -470,8 +470,8 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
 
     Deterministic for any worker count: results are deduplicated by their
     minimal generating set and sorted by (e, generators).  Every hit is
-    re-verified as decreasing by the full order table on the semigroup its
-    leaf built before it is returned; an empty list is a valid outcome.
+    re-verified as decreasing by the full order table on the semigroup made
+    at its leaf before it is returned; an empty list is a valid outcome.
     Raises ResourceLimit when e * bound exceeds the window budget.
     """
     lo, hi = config.e_range

@@ -11,11 +11,13 @@ from numsem import (
     GcdNotOne,
     InvalidGenerator,
     NonMinimal,
+    NumericalSemigroup,
     ResourceLimit,
     build,
     hilbert_function,
     parse_generators,
 )
+from numsem._bitset import closure_bits
 from numsem.corpus import minimalize
 
 import data
@@ -95,6 +97,17 @@ def test_pickle_and_copy_rebuild(clone, study_instances):
         assert T._order_table is None
         assert (T.f, T.apery()) == (S.f, S.apery())
         assert hilbert_function(T) == want
+
+
+def test_from_closure_grows_the_window():
+    """A v = e-4 search leaf whose Apery element 63 = 3 * 21 lies above its
+    walk's window [0, 60]: the private entry grows that window before it
+    reads f and the Apery table."""
+    gens = (16, 17, 21, 35, 36, 39, 40, 41, 43, 44, 45, 46)
+    S = NumericalSemigroup._from_closure(gens, closure_bits(gens, 60), 60)
+    want = build(list(gens))
+    assert max(S.apery()) == 63
+    assert (S.gens, S.v, S.f, S.apery()) == (want.gens, want.v, want.f, want.apery())
 
 
 def test_build_accepts_naturals():

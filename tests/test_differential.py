@@ -323,6 +323,28 @@ def test_add_generator_fold_in_any_order(values, data):
         assert bits == closure_bits(values, limit)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=7), st.data())
+def test_from_closure_matches_build(values, data):
+    """The private entry, given the closure that the ``minimalize`` fold
+    leaves over any window from max(values) up to past f + e, makes the
+    semigroup ``build`` makes from the kept values."""
+    if math.gcd(*values) != 1:
+        values = values + [values[0] + 1]
+    vals = sorted(set(values))
+    want = build(list(minimalize(vals)))
+    top = max(vals[-1], want.f + want.e) + want.e
+    limit = data.draw(st.integers(min_value=vals[-1], max_value=top))
+    bits, kept = 1, ()
+    for x in vals:
+        grown = add_generator(bits, 0, x, limit)
+        if grown:
+            bits, kept = grown, kept + (x,)
+    S = core.NumericalSemigroup._from_closure(kept, bits, limit)
+    assert (S.gens, S.e, S.v, S.f) == (want.gens, want.e, want.v, want.f)
+    assert S._ap_class == want._ap_class
+
+
 def test_duplicate_generator_message():
     with pytest.raises(NonMinimal, match="^generator 19 appears twice$"):
         build([13, 24, 19, 19])
@@ -406,6 +428,15 @@ def _min_plus_jump(monkeypatch):
     return run
 
 
+def _non_minimal_entry(monkeypatch):
+    """(3, 4, 7) through the private entry, which trusts its caller's
+    minimality proof: 7 = 3 + 4 is in 2M, so H_R(1) = 2 while v = 3."""
+    gens = (3, 4, 7)
+    return lambda: hilbert_function(
+        core.NumericalSemigroup._from_closure(gens, closure_bits(gens, 14), 14)
+    )
+
+
 def _accept_every_leaf(monkeypatch):
     monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
@@ -434,6 +465,7 @@ def _accept_every_leaf(monkeypatch):
         (_min_plus_jump, "moves by other than 0 or e"),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
+        (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
     ],
     ids=[
         "stabilization",
@@ -444,6 +476,7 @@ def _accept_every_leaf(monkeypatch):
         "min_plus_moves",
         "delta_audit",
         "search_reverify",
+        "embedding_dimension",
     ],
 )
 def test_internal_checks_raise(monkeypatch, corrupt, message):
