@@ -201,7 +201,7 @@ class HilbertProfile:
 
     def value_at(self, n: int) -> int:
         if n < 0:
-            raise ValueError("negative level")
+            raise BadLevel("level %d is negative" % n)
         return self.values[n] if n < len(self.values) else self.values[-1]
 
     def arrow_text(self) -> str:

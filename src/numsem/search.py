@@ -12,12 +12,14 @@ Three layers:
   gamma) pin down a minimal generating set realizing a decrease at level 2.
 
 * bounded exhaustive search — instead of arbitrary generator sets, enumerate
-  witness pairs (or triples), lay down the forced Apery skeleton, and
-  complete the remaining residue classes.  Every candidate value for a
-  missing class sits below that class's smallest element in the subsemigroup
-  generated by the skeleton (the final Apery element can only be smaller),
-  so the enumeration is exhaustive within the generator bound; only pairs
-  whose skeletons fit the bound are listed.  The classes are filled
+  witness pairs (or triples) and the shapes of the Apery set they force.  A
+  shape is the generators it forces and the Apery elements of order >= 2 it
+  names, one per residue class; every other class takes one generator, so
+  v = e - #named.  Every candidate value for a remaining class sits below
+  that class's smallest element in the subsemigroup generated by the forced
+  generators (the final Apery element can only be smaller), so the
+  enumeration is exhaustive within the generator bound; only pairs whose
+  shapes fit the bound are listed.  The classes are filled
   depth-first, one ``add_generator`` step each, and a prefix is cut as soon
   as one of its generators becomes a sum of the others: adding generators
   never makes a redundant one minimal again, so no completion of that
@@ -31,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from ._bitset import add_generator, bits_to_tuple
 from .core import _WINDOW_BUDGET, NumericalSemigroup, build
@@ -83,6 +86,11 @@ class ResidueRow:
         return tuple(sorted(set(range(1, self.e)) - set(self.base_classes)))
 
 
+def _one_per_class(e: int, values: tuple[int, ...]) -> bool:
+    """True when the values lie in pairwise distinct classes mod e."""
+    return len({x % e for x in values}) == len(values)
+
+
 def residue_admissible(e: int, h: int) -> ResidueRow:
     """Admissibility of the class pair (1, h) modulo e.
 
@@ -95,7 +103,7 @@ def residue_admissible(e: int, h: int) -> ResidueRow:
         raise BadRange("h must satisfy 1 <= h <= e-1")
     base = tuple(x % e for x in (1, 2, 3, h, h + 1, h + 2, 2 * h, 2 * h + 1, 3 * h))
     extra = tuple(x % e for x in (2 * h + 2, h + 3, 3 * h + 1, 2 * h + 3, 3 * h + 2))
-    distinct = len(set(base)) == 9 and 0 not in base
+    distinct = _one_per_class(e, (0,) + base)
     covered = distinct and set(range(1, e)) - set(base) <= set(extra)
     return ResidueRow(e, h, base, extra, distinct and covered)
 
@@ -273,23 +281,27 @@ def _candidate_is_hit(S: NumericalSemigroup) -> bool:
 
 
 def _expand_skeleton(
-    e: int, forced: tuple[int, ...], occupied: set[int], bound: int
+    e: int, forced: tuple[int, ...], named: tuple[int, ...], bound: int
 ) -> list[NumericalSemigroup]:
-    """Complete a forced skeleton over its missing classes and validate.
+    """Complete one shape to its minimal semigroups whose levels decrease.
 
-    The skeleton's generators, then one value per missing class chosen
-    depth-first, are folded through ``add_generator`` over [0, bound].
-    Redundancy is monotone (more generators never make a redundant one
-    minimal again), so a failed step cuts its whole prefix, and a failed
-    skeleton is dropped.  A surviving leaf's fold is its minimality proof,
-    and its closure is exact over [0, bound]; the semigroup is made from
-    that closure, whose window grows when an Apery element lies above the
-    bound, and is the hit when its levels decrease.  Every class mod e holds
-    a forced, occupied or chosen element, so the gcd is 1, and the Apery
-    checks raising at a leaf is an engine fault.
+    A shape is the generators it forces (e first) and the Apery elements of
+    order >= 2 it names.  An Apery set holds one element per class mod e, so
+    a shape whose values share a class is dropped, and each other class
+    takes one generator: v = e - len(named).  The forced generators, then
+    one value per remaining class chosen depth-first, are folded through
+    ``add_generator`` over [0, bound].  Redundancy is monotone (more
+    generators never make a redundant one minimal again), so a failed step
+    cuts its whole prefix, and a failed root drops the shape.  A surviving
+    leaf's fold is its minimality proof, and its closure is exact over
+    [0, bound]; the semigroup is made from that closure, whose window grows
+    when an Apery element lies above the bound, and is the hit when its
+    levels decrease.  Every class holds a generator or a named sum of
+    generators, so the gcd is 1, and the Apery checks raising at a leaf is an
+    engine fault.
     """
     hits: list[NumericalSemigroup] = []
-    if max(forced) > bound:
+    if max(forced) > bound or not _one_per_class(e, forced + named):
         return hits
     root, root_gens = 1, 0
     for g in forced:
@@ -297,11 +309,11 @@ def _expand_skeleton(
         if not root:
             return hits
         root_gens |= 1 << g
-    # A missing class's Apery element lies below its smallest element in the
-    # skeleton's closure (of order >= 2), in steps of e; a class with no
-    # value left ends the skeleton.
+    # A remaining class's Apery element lies below its smallest element in
+    # the shape's closure (of order >= 2), in steps of e; a class with no
+    # value left ends the shape.
     choices = []
-    for c in sorted(set(range(e)) - occupied):
+    for c in sorted(set(range(e)) - {x % e for x in forced + named}):
         values = sum(1 << x for x in range(c + e, bound + 1, e)) & ~root
         if not values:
             return hits
@@ -324,117 +336,67 @@ def _expand_skeleton(
     return hits
 
 
-def _offset3_class_pairs(e: int) -> list[tuple[int, int]]:
-    """Class pairs whose nine degree-<=3 products are distinct and nonzero."""
-    pairs = []
-    for ci in range(1, e):
-        for cj in range(ci + 1, e):
-            base = {
-                ci,
-                2 * ci % e,
-                3 * ci % e,
-                cj,
-                (ci + cj) % e,
-                (2 * ci + cj) % e,
-                2 * cj % e,
-                (ci + 2 * cj) % e,
-                3 * cj % e,
-            }
-            if len(base) == 9 and 0 not in base:
-                pairs.append((ci, cj))
-    return pairs
+def _offset3_shapes(e: int, a: int, bound: int) -> Iterator[tuple]:
+    """The shapes of one (e, n_i = a) cell of the v = e-3 search: for each
+    n_j = b > a, the forced e, a, b and the four degree-3 products minus e,
+    with 2a, a + b and 2b named."""
+    # 3b - e is forced, so b <= (bound + e) / 3.
+    for b in range(a + 1, (bound + e) // 3 + 1):
+        forced = (e, a, b, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
+        yield forced, (2 * a, a + b, 2 * b)
 
 
-def _search_offset3_task(args) -> list[NumericalSemigroup]:
-    """All validated hits for one (e, n_i) cell of the v = e-3 search."""
-    e, n_i, bound, class_pairs = args
-    hits: list[NumericalSemigroup] = []
-    ci = n_i % e
-    partners = set()
-    for a, b in class_pairs:
-        if a == ci:
-            partners.add(b)
-        if b == ci:
-            partners.add(a)
-    if not partners:
-        return hits
-    # 3n_j - e is forced, so n_j <= (bound + e) / 3.
-    for n_j in range(n_i + 1, (bound + e) // 3 + 1):
-        if n_j % e not in partners:
-            continue
-        forced = (
-            e,
-            n_i,
-            n_j,
-            3 * n_i - e,
-            2 * n_i + n_j - e,
-            n_i + 2 * n_j - e,
-            3 * n_j - e,
-        )
-        occupied = {x % e for x in forced}
-        occupied |= {(2 * n_i) % e, (n_i + n_j) % e, (2 * n_j) % e}
-        hits.extend(_expand_skeleton(e, forced, occupied, bound))
-    return hits
-
-
-def _search_offset4_task(args) -> list[NumericalSemigroup]:
-    """All validated hits for one (e, n_i) cell of the v = e-4 search.
+def _offset4_shapes(e: int, a: int, bound: int) -> Iterator[tuple]:
+    """The shapes of one (e, n_i = a) cell of the v = e-4 search.
 
     Covers the two exhaustive shapes of a v = e-4 decrease: the
     (|Ap_2|, |Ap_3|) = (3, 1) two-generator chains with the order jump at
-    level 2 or 3, and the (4, 0) three-generator shapes.
+    level 2 or 3, and the (4, 0) three-generator shapes.  Each names the
+    three of Ap_2 that a and b make, and one more Apery element.
     """
-    e, n_i, bound = args
-    hits: list[NumericalSemigroup] = []
-    a = n_i
     # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
-    for n_j in range(e + 1, (bound + e - a) // 2 + 1):
-        if n_j % e == 0 or n_j % e == a % e:
-            continue
-        b = n_j
-        ap2 = (2 * a % e, (a + b) % e, 2 * b % e)
+    for b in range(e + 1, (bound + e - a) // 2 + 1):
+        ap2 = (2 * a, a + b, 2 * b)
         # (3, 1) with the jump at level 2: D_2 + e carries 4a
         forced = (e, a, b, 4 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
-        occupied = {x % e for x in forced} | set(ap2) | {3 * a % e}
-        if len(occupied) == 11:
-            hits.extend(_expand_skeleton(e, forced, occupied, bound))
+        yield forced, ap2 + (3 * a,)
         # (3, 1) with the jump at level 3: one C_3 element stays an Apery
         # element of order 3, the other three drop by e to generators
         if a < b:
             c3 = (3 * a, 2 * a + b, a + 2 * b, 3 * b)
             for ap3 in c3:
-                forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
-                occupied = {x % e for x in forced} | set(ap2) | {ap3 % e}
-                if len(occupied) == 10:
-                    hits.extend(_expand_skeleton(e, forced, occupied, bound))
-        # (4, 0): three-generator shapes.  Whether a shape's 13 classes are
+                yield (e, a, b) + tuple(x - e for x in c3 if x != ap3), ap2 + (ap3,)
+        # (4, 0): three-generator shapes.  Whether a shape's classes are
         # distinct depends only on c mod e, so each residue r of c is tested
-        # once per (a, b) and only the values of admissible residues are tried.
-        # Ten of the 13 classes do not depend on c; if they collide, no c fits,
-        # and none fits either when the base's 3b - e is above the bound.
-        fixed = {x % e for x in (0, a, b, 3 * a, 2 * a + b, a + 2 * b, 3 * b)}
-        fixed |= set(ap2)
-        if len(fixed) < 10 or 3 * b - e > bound:
+        # once per (a, b), standing in for c, and only the values of
+        # admissible residues are tried.  If the ten values that do not
+        # depend on c collide, no c fits, and none fits either when 3b - e is
+        # above the bound.
+        base = (e, a, b, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
+        if 3 * b - e > bound or not _one_per_class(e, base + ap2):
             continue
-        for r in set(range(1, e)) - fixed:
-            occupied1 = fixed | {r, (2 * a + r) % e, (a + r) % e}
-            occupied2 = fixed | {r, 3 * r % e, 2 * r % e}
-            shape1 = len(occupied1) == 13
-            shape2 = a < b and len(occupied2) == 13
+        for r in range(1, e):
+            shape1 = _one_per_class(e, base + ap2 + (r, 2 * a + r, a + r))
+            shape2 = a < b and _one_per_class(e, base + ap2 + (r, 3 * r, 2 * r))
             if not (shape1 or shape2):
                 continue
             for c in range(r + e, bound + 1, e):
-                base = (e, a, b, c, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
                 if shape1:
-                    pat1 = base + (2 * a + c - e,)
-                    hits.extend(_expand_skeleton(e, pat1, occupied1, bound))
+                    yield base + (c, 2 * a + c - e), ap2 + (a + c,)
                 if shape2:
-                    pat2 = base + (3 * c - e,)
-                    hits.extend(_expand_skeleton(e, pat2, occupied2, bound))
-    return hits
+                    yield base + (c, 3 * c - e), ap2 + (2 * c,)
 
 
-def _tasks_for(config: SearchConfig) -> list[tuple]:
+_SHAPES = {3: _offset3_shapes, 4: _offset4_shapes}
+
+
+def _cells(e: int, bound: int) -> Iterator[int]:
+    """The n_i of the (e, n_i) cells: every shape forces 3n_i - e or more,
+    so n_i <= (bound + e) / 3, and n_i is not a multiple of e."""
+    return (n_i for n_i in range(e + 1, (bound + e) // 3 + 1) if n_i % e)
+
+
+def _tasks_for(config: SearchConfig) -> list[tuple[int, int, int, int]]:
     lo, hi = config.e_range
     bounds = [(e, config.bound_for(e)) for e in range(lo, hi + 1)]
     # The walk's window [0, bound] and each leaf's grown one fit in e * bound
@@ -444,25 +406,18 @@ def _tasks_for(config: SearchConfig) -> list[tuple]:
             "multiplicity %d times generator bound %d exceeds the window budget %d"
             % (hi, bounds[-1][1], _WINDOW_BUDGET)
         )
-    # Every skeleton forces 3n_i - e or more: n_i <= (bound + e) / 3.
-    tasks = []
-    for e, bound in bounds:
-        extra = ()
-        if config.v_offset == 3:
-            extra = (tuple(_offset3_class_pairs(e)),)
-            if not extra[0]:
-                continue
-        for n_i in range(e + 1, (bound + e) // 3 + 1):
-            if n_i % e:
-                tasks.append((config.v_offset, (e, n_i, bound) + extra))
-    return tasks
+    return [
+        (config.v_offset, e, n_i, bound) for e, bound in bounds for n_i in _cells(e, bound)
+    ]
 
 
-def _run_task(task) -> list[NumericalSemigroup]:
-    kind, args = task
-    if kind == 3:
-        return _search_offset3_task(args)
-    return _search_offset4_task(args)
+def _run_task(task: tuple[int, int, int, int]) -> list[NumericalSemigroup]:
+    """All hits of one (e, n_i) cell: each of its shapes, completed."""
+    v_offset, e, n_i, bound = task
+    hits: list[NumericalSemigroup] = []
+    for forced, named in _SHAPES[v_offset](e, n_i, bound):
+        hits.extend(_expand_skeleton(e, forced, named, bound))
+    return hits
 
 
 def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:

@@ -121,10 +121,10 @@ def test_unaffordable_generators_exit_1(capsys):
 def test_search_over_budget_exit_1(capsys, monkeypatch):
     """A bound no leaf could be built under fails before any task is listed."""
 
-    def listed(e):
+    def listed(e, bound):
         raise AssertionError("tasks listed for e = %d" % e)
 
-    monkeypatch.setattr(search, "_offset3_class_pairs", listed)
+    monkeypatch.setattr(search, "_cells", listed)
     code, out, err = run(
         ["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "1000000e"],
         capsys,

@@ -1,4 +1,7 @@
+import pytest
+
 from numsem import (
+    BadLevel,
     audit_delta,
     build,
     hilbert_function,
@@ -16,6 +19,14 @@ def test_hilbert_reference(e13):
     assert hp.stable_at == 5
     assert hp.decreasing_levels == (2,)
     assert hp.arrow_text() == "[1,10,9,11,12,13->]"
+
+
+def test_hilbert_value_at_negative_level(e13):
+    """A negative level raises the package's BadLevel, not a bare ValueError."""
+    hp = hilbert_function(e13)
+    with pytest.raises(BadLevel, match="-1"):
+        hp.value_at(-1)
+    assert hp.value_at(0) == 1
 
 
 def test_hilbert_small():

@@ -119,10 +119,10 @@ def test_search_refuses_bounds_over_the_window_budget(monkeypatch):
     before any task is listed.  13 * 1290556 is just over 2**24; 12 times
     it is not."""
 
-    def listed(e):
+    def listed(e, bound):
         raise AssertionError("tasks listed for e = %d" % e)
 
-    monkeypatch.setattr(search, "_offset3_class_pairs", listed)
+    monkeypatch.setattr(search, "_cells", listed)
     for e_range in [(13, 13), (12, 13)]:
         with pytest.raises(ResourceLimit, match="window budget"):
             search_decreasing(SearchConfig(e_range, 3, gen_bound=1290556))
@@ -140,8 +140,29 @@ def test_search_config_rejects_multiplicities_below_1(e_range):
 
 
 def test_search_small_moduli_empty():
-    cfg = SearchConfig(e_range=(10, 12), v_offset=3, gen_bound_per_e=20)
+    """Below e = 10 no ten values fit in distinct classes, so every v = e-3
+    shape is dropped; at e = 10..12 none completes to a decrease."""
+    cfg = SearchConfig(e_range=(4, 12), v_offset=3, gen_bound_per_e=20)
     assert search_decreasing(cfg) == []
+
+
+def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
+    """A shape's values lie in distinct classes mod e and every other class
+    takes one generator, so a kept shape completes to v = e - len(named).
+
+    Every leaf is kept here (the decrease test always passes), so the
+    completions show.  At e = 13 the v = e-3 shape of the pair (14, 17)
+    completes to a family member.  The v = e-4 shape of (14, 16) whose
+    order-3 Apery element is 3 * 14 = 42 names a value in the class of 16;
+    without the class test its walk would make v = e-3 leaves."""
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
+    e, bound = 13, 6 * 13
+    leaves = search._expand_skeleton(e, (13, 14, 17, 29, 32, 35, 38), (28, 31, 34), bound)
+    assert [S.gens for S in leaves] == [data.SP_FAMILY[1][1]]
+    assert leaves[0].v == e - 3
+    forced, named = (13, 14, 16, 31, 33, 35), (28, 30, 32, 42)
+    assert (forced, named) in set(search._offset4_shapes(e, 14, bound))
+    assert search._expand_skeleton(e, forced, named, bound) == []
 
 
 def test_search_e13_hits(sp_instances):
