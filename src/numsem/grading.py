@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, gt, itemgetter, sub
 from typing import Iterator
 
@@ -394,44 +394,61 @@ class MaximalRepresentation:
         return tuple(g for g, c in zip(self.gens[1:], self.coeffs[1:]) if c)
 
 
-def maximal_representations(
-    S: NumericalSemigroup, s: int
-) -> list[MaximalRepresentation]:
-    """All coefficient vectors of coefficient sum ord(s), lexicographic order."""
+def _maximal_coeffs(S: NumericalSemigroup, s: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(ord(s), the coefficient vectors of s with that sum, sorted).
+
+    The descent fixes the coefficients from the largest generator down.  It
+    skips the generators g with g + (cnt - 1) * e > rem, which no sum of cnt
+    generators to rem can use, and tries only the counts t of the next one
+    that leave a remainder the cnt - t smaller generators can make: between
+    (cnt - t) * e and (cnt - t) * gens[idx - 1].  The last two, e and
+    gens[1], are then forced: t * gens[1] + (cnt - t) * e = rem has at most
+    one solution.
+    """
     k = order_of(S, s)
     gens = S.gens
-    n = len(gens)
-    if s == 0:
-        return [MaximalRepresentation(gens, (0,) * n, 0, 0)]
+    if len(gens) == 1:  # <1>: s = k * 1
+        return k, [(k,)]
+    e, g1 = gens[0], gens[1]
     found: list[tuple[int, ...]] = []
-    coeffs = [0] * n
+    coeffs = [0] * len(gens)
 
     def descend(idx: int, rem: int, cnt: int) -> None:
-        g = gens[idx]
-        if idx == 0:
-            if rem == cnt * g:
-                coeffs[0] = cnt
+        idx = bisect_right(gens, rem - (cnt - 1) * e, 0, idx + 1) - 1
+        if idx <= 1:  # e and gens[1] are left, or e alone (then t = 0)
+            t, r = divmod(rem - cnt * e, g1 - e)
+            if not r and 0 <= t <= cnt:
+                coeffs[0], coeffs[1] = cnt - t, t
                 found.append(tuple(coeffs))
-                coeffs[0] = 0
             return
-        lower_max = gens[idx - 1]
-        lower_min = gens[0]
-        for t in range(min(rem // g, cnt), -1, -1):
-            rem2 = rem - t * g
-            cnt2 = cnt - t
-            if rem2 > cnt2 * lower_max:
-                break  # t smaller only makes rem2 larger
-            if rem2 < cnt2 * lower_min:
-                continue
+        g, lower = gens[idx], gens[idx - 1]
+        top = min(cnt, (rem - cnt * e) // (g - e))
+        low = max(0, -((cnt * lower - rem) // (g - lower)))
+        for t in range(top, low - 1, -1):
             coeffs[idx] = t
-            descend(idx - 1, rem2, cnt2)
-            coeffs[idx] = 0
+            descend(idx - 1, rem - t * g, cnt - t)
+        coeffs[idx] = 0
 
-    descend(n - 1, s, k)
+    descend(len(gens) - 1, s, k)
     if not found:
         raise InternalInconsistency("no representation of %d at order %d" % (s, k))
     found.sort()
-    return [MaximalRepresentation(gens, c, s, k) for c in found]
+    return k, found
+
+
+def maximal_representations(
+    S: NumericalSemigroup, s: int
+) -> list[MaximalRepresentation]:
+    """All coefficient vectors of coefficient sum ord(s), lexicographic order.
+
+    The enumeration goes from the largest generator down.  It visits only
+    the generators that fit in what is left to make, and only their counts
+    that leave a remainder the smaller generators can make with the
+    coefficients left; the counts of e and gens[1] then follow from one
+    division.  Raises NotMember when s is not in S.
+    """
+    k, found = _maximal_coeffs(S, s)
+    return [MaximalRepresentation(S.gens, c, s, k) for c in found]
 
 
 @dataclass(frozen=True)
@@ -449,37 +466,52 @@ class SupportInfo:
 
 
 def support_size(S: NumericalSemigroup, s: int) -> SupportInfo:
-    reps = maximal_representations(S, s)
-    supports = tuple(r.support() for r in reps)
-    return SupportInfo(max(len(sup) for sup in supports), supports)
+    """The supports of the maximal representations of s, in the order of
+    ``maximal_representations``, and the size of the largest.
+
+    Raises NotMember when s is not in S.
+    """
+    _, found = _maximal_coeffs(S, s)
+    supports = tuple(tuple(compress(S.gens, c)) for c in found)
+    return SupportInfo(max(map(len, supports)), supports)
 
 
 def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     """Values of all sub-combinations of ``rep`` with coefficient sum h.
 
-    Every induced element has order exactly h.
+    Every induced element has order exactly h.  The enumeration visits only
+    the support of ``rep``, from its largest generator down, and only the
+    counts that leave a number the smaller ones can take; the last two
+    generators of the support then give an arithmetic progression of
+    values, one per count of the larger.
     """
     if h < 0 or h > rep.order:
         raise BadLevel("level %d not in [0, %d]" % (h, rep.order))
-    gens = rep.gens
-    coeffs = rep.coeffs
-    n = len(gens)
+    if h == 0:
+        return [0]
+    gens = tuple(compress(rep.gens, rep.coeffs))
+    coeffs = [c for c in rep.coeffs if c]
+    below = [0, *accumulate(coeffs)]  # below[i]: the coefficient sum of gens[:i]
+    if h > below[-1]:
+        return []
+    if len(gens) == 1:
+        return [h * gens[0]]
     values: set[int] = set()
 
     def descend(idx: int, left: int, acc: int) -> None:
-        if left == 0:
-            values.add(acc)
-            return
-        if idx < 0:
-            return
-        tail = sum(coeffs[: idx + 1])
-        if tail < left:
-            return
+        g = gens[idx]
         top = min(coeffs[idx], left)
-        for t in range(top, -1, -1):
-            descend(idx - 1, left - t, acc + t * gens[idx])
+        low = max(0, left - below[idx])
+        if idx == 1:
+            # t copies of g and left - t of gens[0], for t = low .. top.
+            step = g - gens[0]
+            base = acc + left * gens[0]
+            values.update(range(base + low * step, base + top * step + 1, step))
+            return
+        for t in range(top, low - 1, -1):
+            descend(idx - 1, left - t, acc + t * g)
 
-    descend(n - 1, h, 0)
+    descend(len(gens) - 1, h, 0)
     return sorted(values)
 
 

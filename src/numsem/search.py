@@ -425,8 +425,9 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
 
     Deterministic for any worker count: results are deduplicated by their
     minimal generating set and sorted by (e, generators).  Every hit is
-    re-verified as decreasing by the full order table on the semigroup made
-    at its leaf before it is returned; an empty list is a valid outcome.
+    re-verified before it is returned: its embedding dimension must be
+    e - v_offset, and the full order table on the semigroup made at its leaf
+    must decrease; an empty list is a valid outcome.
     Raises ResourceLimit when e * bound exceeds the window budget.
     """
     lo, hi = config.e_range
@@ -446,6 +447,11 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
                 found.update((S.gens, S) for S in chunk)
     out = [found[gens] for gens in sorted(found)]
     for S in out:
+        if S.v != S.e - config.v_offset:
+            raise InternalInconsistency(
+                "search hit has embedding dimension %d, not e - %d = %d: %s"
+                % (S.v, config.v_offset, S.e - config.v_offset, S.gens)
+            )
         if not hilbert_function(S).is_decreasing:
             raise InternalInconsistency("search hit fails re-verification: %s" % (S.gens,))
     return out

@@ -115,6 +115,16 @@ def max_representations(gens, s):
     return sorted(r for r in reps if sum(r) == k)
 
 
+def induced_values(gens, coeffs, h):
+    """Sorted values of every t <= coeffs (coefficientwise) with coefficient
+    sum h, by brute force over the full product of 0..c_i."""
+    values = set()
+    for t in itertools.product(*(range(c + 1) for c in coeffs)):
+        if sum(t) == h:
+            values.add(sum(x * g for x, g in zip(t, gens)))
+    return sorted(values)
+
+
 def order_dp(gens, limit):
     """ord over [0, limit] by array DP (independent of set shifting)."""
     member = members_upto(gens, limit)

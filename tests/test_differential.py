@@ -12,7 +12,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numsem import (
@@ -23,12 +23,15 @@ from numsem import (
     audit_delta,
     build,
     hilbert_function,
+    induced_elements,
     is_symmetric,
     is_tangent_cone_cm,
+    maximal_representations,
     order_of,
     order_table,
     search_decreasing,
     strata_tables,
+    support_size,
 )
 from numsem import core, filtration, grading, search
 from numsem._bitset import add_generator, bits_to_tuple, closure_bits
@@ -204,6 +207,40 @@ def test_both_fills_match_oracles_on_study_instances_and_ladders(
         check(build(list(gens)))
 
 
+@st.composite
+def two_generator_semigroups(draw):
+    a = draw(st.integers(min_value=2, max_value=12))
+    b = draw(st.sampled_from([b for b in range(a + 1, 3 * a + 1) if math.gcd(a, b) == 1]))
+    return build([a, b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=st.one_of(small_semigroups(), two_generator_semigroups()))
+@example(S=build([1]))
+def test_representation_reads_match_oracles(S):
+    """maximal_representations, support_size and induced_elements against
+    the brute-force oracles, on every member s <= f + 3e and every level
+    0 <= h <= ord(s)."""
+    gens = list(S.gens)
+    for s in range(S.f + 3 * S.e + 1):
+        if not S.contains(s):
+            continue
+        want = oracles.max_representations(gens, s)
+        k = sum(want[0])
+        reps = maximal_representations(S, s)
+        assert [(r.gens, r.coeffs, r.value, r.order) for r in reps] == [
+            (S.gens, c, s, k) for c in want
+        ], s
+        supports = tuple(tuple(g for g, c in zip(gens, coeffs) if c) for coeffs in want)
+        info = support_size(S, s)
+        assert (info.size, info.per_rep_supports) == (max(map(len, supports)), supports), s
+        for rep in reps:
+            for h in range(k + 1):
+                assert induced_elements(rep, h) == oracles.induced_values(
+                    gens, rep.coeffs, h
+                ), (s, rep.coeffs, h)
+
+
 def _table_fields(gens):
     """Every field of the order table; the repr keeps the dict key order."""
     table = order_table(build(list(gens)))
@@ -372,6 +409,28 @@ def test_two_generator_closed_forms_at_scale():
     assert time.perf_counter() - start < 0.5
 
 
+def test_far_representation_reads_at_scale():
+    """<1000, 1001> at s = 1,598,999 = 599 * 1000 + 999 * 1001, against the
+    closed forms: that is its one maximal representation, and at level h it
+    induces p * 1000 + (h - p) * 1001 for max(0, h - 999) <= p <= min(599, h).
+    The 200 reads at h = 700..899 (up to 600 values each) take about 25 ms
+    on a 2-core x86 box; a descent that tries every count of the last
+    generator took about 6 s on the same reads."""
+    a, b, s = 1000, 1001, 1598999
+    S = build([a, b])
+    reps = maximal_representations(S, s)
+    assert [rep.coeffs for rep in reps] == [(599, 999)]
+    assert support_size(S, s).size == 2
+    levels = range(700, 900)
+    start = time.perf_counter()
+    got = [induced_elements(reps[0], h) for h in levels]
+    elapsed = time.perf_counter() - start
+    for h, values in zip(levels, got):
+        want = {p * a + (h - p) * b for p in range(max(0, h - 999), min(599, h) + 1)}
+        assert values == sorted(want), h
+    assert elapsed < 0.5
+
+
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_apery_theorem_check_raises(monkeypatch, shift):
     """An f off by one breaks |Ap| = e or max Ap = f + e, caught at build."""
@@ -442,6 +501,14 @@ def _accept_every_leaf(monkeypatch):
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 
+def _wrong_dimension_hit(monkeypatch):
+    """Every task of a v = e-4 search returns a decreasing family member of
+    e = 13 and v = 10 = e-3: only its embedding dimension tells it apart."""
+    hit = build([13, 14, 17, 29, 32, 33, 35, 36, 37, 38])
+    monkeypatch.setattr(search, "_run_task", lambda task: [hit])
+    return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -465,6 +532,7 @@ def _accept_every_leaf(monkeypatch):
         (_min_plus_jump, "moves by other than 0 or e"),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
+        (_wrong_dimension_hit, r"embedding dimension 10, not e - 4 = 9"),
         (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
     ],
     ids=[
@@ -476,6 +544,7 @@ def _accept_every_leaf(monkeypatch):
         "min_plus_moves",
         "delta_audit",
         "search_reverify",
+        "search_dimension",
         "embedding_dimension",
     ],
 )
