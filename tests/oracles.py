@@ -3,11 +3,14 @@
 Everything here is written the slow, obvious way: array DP for membership,
 full DFS over generator combinations for orders and representations, and
 plain scans for Apery sets and Hilbert values.  Tests freeze values computed
-by these and diff them against the package.  Only the search twin at the
-end calls into the package, for ``build`` and ``hilbert_function``.
+by these and diff them against the package.  Only the search twins at the
+end call into the package: ``search_by_product`` for ``build`` and
+``hilbert_function``, ``search_shape_free`` for the minimality step and the
+leaf test, and ``sp_family_members`` for ``construct_sp``.
 """
 
 import itertools
+import math
 
 
 def members_upto(gens, limit):
@@ -249,3 +252,77 @@ def search_by_product(e, skeletons, bound):
             if hilbert_function(S).is_decreasing:
                 hits.add(S.gens)
     return sorted(hits)
+
+
+def search_shape_free(e, v, bound):
+    """Sorted generator tuples of the multiplicity-e, embedding-dimension-v
+    semigroups whose H_R decreases, every generator <= bound, by a walk that
+    knows no shape, pair or named Apery element.
+
+    Minimal generators lie in distinct classes mod e, so the walk chooses
+    v - 1 values in (e, bound], ascending and one per class, folding each
+    through ``add_generator`` (an ascending fold fails at the first
+    redundant value), and gives each leaf the search's leaf test.
+    """
+    from numsem._bitset import add_generator
+    from numsem.core import NumericalSemigroup
+    from numsem.search import _candidate_is_hit
+
+    hits = []
+    # Each entry: (generators, their closure over [0, bound], classes used).
+    stack = [((e,), add_generator(1, 0, e, bound), 1)]
+    while stack:
+        gens, closure, classes = stack.pop()
+        if len(gens) == v:
+            if math.gcd(*gens) == 1:
+                S = NumericalSemigroup._from_closure(gens, closure, bound)
+                if _candidate_is_hit(S):
+                    hits.append(gens)
+            continue
+        for x in range(gens[-1] + 1, bound + 1):
+            if not classes >> x % e & 1:
+                grown = add_generator(closure, 0, x, bound)
+                if grown:
+                    stack.append((gens + (x,), grown, classes | 1 << x % e))
+    return sorted(hits)
+
+
+def sp_family_members(bound):
+    """Sorted generator tuples of the e = 13 family members whose ten
+    generators fit in (13, bound] and whose H_R decreases.
+
+    Walks every (p, k, k') with n_i, n_j and the four degree-3 products
+    minus 13 in (13, bound], and every alpha, beta, gamma in the interval
+    that keeps its derived generator in (13, bound]; ``SpParameters`` and
+    ``construct_sp`` reject what is not a member.
+    """
+    from numsem import ConstraintViolation, NonMinimal, hilbert_function
+    from numsem.search import SpParameters, construct_sp
+
+    def fits(x):
+        return 13 < x <= bound
+
+    def drops(x):
+        """The lambdas with x - 13 * lambda in (13, bound]."""
+        return range(max(0, -((bound - x) // 13)), (x - 14) // 13 + 1)
+
+    members = set()
+    for p in range(1, 13):
+        for k in range(1, (bound - p) // 13 + 1):
+            a = 13 * k + p
+            for kprime in range(-2, 4 * k - 1):
+                b = 13 * kprime + 4 * p
+                if not all(map(fits, (a, b, 3 * a - 13, 2 * a + b - 13))):
+                    continue
+                if not all(map(fits, (a + 2 * b - 13, 3 * b - 13))):
+                    continue
+                for alpha, beta, gamma in itertools.product(
+                    drops(2 * a + 2 * b), drops(3 * a + b), drops(3 * a + 2 * b)
+                ):
+                    try:
+                        S = construct_sp(SpParameters(p, k, kprime, alpha, beta, gamma))
+                    except (ConstraintViolation, NonMinimal):
+                        continue
+                    if hilbert_function(S).is_decreasing:
+                        members.add(S.gens)
+    return sorted(members)

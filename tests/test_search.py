@@ -11,6 +11,7 @@ from numsem import (
     SpParameters,
     build,
     check_offset3,
+    check_offset4,
     construct_sp,
     hilbert_function,
     is_symmetric,
@@ -207,6 +208,8 @@ def test_search_offset4_reproduces_known_instances():
     for S in results:
         assert S.v == S.e - 4
         assert hilbert_function(S).is_decreasing
+        verdict = check_offset4(S)
+        assert verdict.pattern and verdict.consistent
 
 
 def test_search_offset4_multi_modulus_range():
@@ -214,6 +217,31 @@ def test_search_offset4_multi_modulus_range():
     for S in search_decreasing(cfg):
         assert S.v == S.e - 4
         assert hilbert_function(S).is_decreasing
+        verdict = check_offset4(S)
+        assert verdict.pattern and verdict.consistent
+
+
+@pytest.mark.parametrize("e, v, bound, count", [(13, 10, 45, 6), (11, 8, 44, 0)])
+def test_search_equals_shape_free_twin(e, v, bound, count):
+    """The shape lemma, checked: a walk over every ascending choice of v - 1
+    generators in distinct classes, with no shape at all, finds exactly the
+    search's hits.  A shape the search fails to list shows up here."""
+    want = oracles.search_shape_free(e, v, bound)
+    cfg = SearchConfig(e_range=(e, e), v_offset=e - v, gen_bound=bound)
+    assert [S.gens for S in search_decreasing(cfg)] == want
+    assert len(want) == count
+
+
+def test_sp_family_equals_search_at_8e():
+    """The e = 13, v = 10 decreasing semigroups are one parametric family:
+    at 8e its members are exactly the search's hits, and the parameters read
+    back off every hit."""
+    bound = 8 * 13
+    results = search_decreasing(SearchConfig((13, 13), 3, gen_bound=bound))
+    assert [S.gens for S in results] == oracles.sp_family_members(bound)
+    assert len(results) == 694
+    for S in results:
+        assert recover_sp_parameters(S) is not None
 
 
 def test_search_csv_shape(sp_instances):
