@@ -15,7 +15,10 @@ Three layers:
   witness pairs (or triples) and the shapes of the Apery set they force.  A
   shape is the generators it forces and the Apery elements of order >= 2 it
   names, one per residue class; every other class takes one generator, so
-  v = e - #named.  Every candidate value for a remaining class sits below
+  v = e - #named.  The shapes are read off the table the structure
+  detectors match against (``structure._Shape``); only the cuts on the
+  roles and the per-residue pre-test of the three-generator shapes are the
+  search's own.  Every candidate value for a remaining class sits below
   that class's smallest element in the subsemigroup generated by the forced
   generators (the final Apery element can only be smaller), so the
   enumeration is exhaustive within the generator bound; only pairs whose
@@ -46,6 +49,7 @@ from .errors import (
 )
 from .filtration import hilbert_function
 from .grading import _levels
+from .structure import _CHAIN_AT_2, _FOUR_ZERO, _OFFSET3, check_offset3
 
 __all__ = [
     "ResidueRow",
@@ -164,11 +168,9 @@ def sp_generator_list(params: SpParameters) -> tuple[int, ...]:
     e, a, b = _SP_E, params.n_i, params.n_j
     if b <= e:
         raise ConstraintViolation("n_j = %d is not above the multiplicity" % b)
-    rest = [
-        3 * a - e,
-        2 * a + b - e,
-        a + 2 * b - e,
-        3 * b - e,
+    # the generators the v = e-3 shape forces beyond e, a and b, then one
+    # per class it leaves open
+    rest = [x - e for x in _OFFSET3.d2e(a, b)] + [
         2 * a + 2 * b - params.alpha * e,
         3 * a + b - params.beta * e,
         3 * a + 2 * b - params.gamma * e,
@@ -194,8 +196,6 @@ def construct_sp(params: SpParameters) -> NumericalSemigroup:
 
 def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:
     """Read the family parameters back off a semigroup, if it belongs."""
-    from .structure import check_offset3
-
     if S.e != _SP_E or S.v != 10:
         return None
     verdict = check_offset3(S)
@@ -336,58 +336,47 @@ def _expand_skeleton(
     return hits
 
 
-def _offset3_shapes(e: int, a: int, bound: int) -> Iterator[tuple]:
-    """The shapes of one (e, n_i = a) cell of the v = e-3 search: for each
-    n_j = b > a, the forced e, a, b and the four degree-3 products minus e,
-    with 2a, a + b and 2b named."""
-    # 3b - e is forced, so b <= (bound + e) / 3.
-    for b in range(a + 1, (bound + e) // 3 + 1):
-        forced = (e, a, b, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
-        yield forced, (2 * a, a + b, 2 * b)
+def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
+    """The shapes, as (forced, named), of one (e, n_i = a) cell of the
+    v = e - v_offset search, for each b, read off the structure table.
 
-
-def _offset4_shapes(e: int, a: int, bound: int) -> Iterator[tuple]:
-    """The shapes of one (e, n_i = a) cell of the v = e-4 search.
-
-    Covers the two exhaustive shapes of a v = e-4 decrease: the
-    (|Ap_2|, |Ap_3|) = (3, 1) two-generator chains with the order jump at
-    level 2 or 3, and the (4, 0) three-generator shapes.  Each names the
-    three of Ap_2 that a and b make, and one more Apery element.
+    v = e-3 has one shape per b > a.  v = e-4 has the (3, 1) chains with
+    the order jump at level 2 or 3, and the (4, 0) three-generator shapes.
+    The jump at level 3 keeps one element of the two-generator C_3 in the
+    Apery set and drops the other three by e to generators.  The cuts on b,
+    the early exit per (a, b) and the per-residue pre-test are the search's.
     """
+    if v_offset == 3:
+        # 3b - e is forced, so b <= (bound + e) / 3.
+        for b in range(a + 1, (bound + e) // 3 + 1):
+            yield _OFFSET3.skeleton(e, (a, b))
+        return
     # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
     for b in range(e + 1, (bound + e - a) // 2 + 1):
-        ap2 = (2 * a, a + b, 2 * b)
-        # (3, 1) with the jump at level 2: D_2 + e carries 4a
-        forced = (e, a, b, 4 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
-        yield forced, ap2 + (3 * a,)
-        # (3, 1) with the jump at level 3: one C_3 element stays an Apery
-        # element of order 3, the other three drop by e to generators
-        if a < b:
-            c3 = (3 * a, 2 * a + b, a + 2 * b, 3 * b)
+        yield _CHAIN_AT_2.skeleton(e, (a, b))
+        base, ap2 = _OFFSET3.skeleton(e, (a, b))
+        # the jump at level 3 names one element of the v = e-3 shape's C_3
+        # (its D_2 + e) as Ap_3; like that shape, it is symmetric in a, b
+        if _OFFSET3.reads((a, b)):
+            c3 = _OFFSET3.d2e(a, b)
             for ap3 in c3:
                 yield (e, a, b) + tuple(x - e for x in c3 if x != ap3), ap2 + (ap3,)
-        # (4, 0): three-generator shapes.  Whether a shape's classes are
-        # distinct depends only on c mod e, so each residue r of c is tested
-        # once per (a, b), standing in for c, and only the values of
-        # admissible residues are tried.  If the ten values that do not
-        # depend on c collide, no c fits, and none fits either when 3b - e is
-        # above the bound.
-        base = (e, a, b, 3 * a - e, 2 * a + b - e, a + 2 * b - e, 3 * b - e)
-        if 3 * b - e > bound or not _one_per_class(e, base + ap2):
+        # (4, 0): a shape's values hold the v = e-3 shape's on (a, b), so if
+        # those collide or pass the bound, no c fits.  Whether the others
+        # are distinct depends only on c mod e, so each residue r stands in
+        # for c once per (a, b), and only admissible residues are walked.
+        if max(base) > bound or not _one_per_class(e, base + ap2):
             continue
         for r in range(1, e):
-            shape1 = _one_per_class(e, base + ap2 + (r, 2 * a + r, a + r))
-            shape2 = a < b and _one_per_class(e, base + ap2 + (r, 3 * r, 2 * r))
-            if not (shape1 or shape2):
-                continue
+            fits = [
+                shape
+                for shape in _FOUR_ZERO
+                if shape.reads((a, b))
+                and _one_per_class(e, sum(shape.skeleton(e, (a, b, r)), ()))
+            ]
             for c in range(r + e, bound + 1, e):
-                if shape1:
-                    yield base + (c, 2 * a + c - e), ap2 + (a + c,)
-                if shape2:
-                    yield base + (c, 3 * c - e), ap2 + (2 * c,)
-
-
-_SHAPES = {3: _offset3_shapes, 4: _offset4_shapes}
+                for shape in fits:
+                    yield shape.skeleton(e, (a, b, c))
 
 
 def _cells(e: int, bound: int) -> Iterator[int]:
@@ -415,7 +404,7 @@ def _run_task(task: tuple[int, int, int, int]) -> list[NumericalSemigroup]:
     """All hits of one (e, n_i) cell: each of its shapes, completed."""
     v_offset, e, n_i, bound = task
     hits: list[NumericalSemigroup] = []
-    for forced, named in _SHAPES[v_offset](e, n_i, bound):
+    for forced, named in _cell_shapes(v_offset, e, n_i, bound):
         hits.extend(_expand_skeleton(e, forced, named, bound))
     return hits
 

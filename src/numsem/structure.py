@@ -5,12 +5,20 @@ statement independently, reports every witness assignment it finds, and
 returns NotApplicable (a first-class verdict, distinct from false) when the
 hypotheses do not hold.  Detectors never trust each other: every reported
 witness is re-verified against the computed C_k / D_k sets.
+
+The Apery-set shapes of a decrease at level 2 (v = e-3, and the (3, 1)
+level-2 chain and the two (4, 0) shapes of v = e-4) live in one table of
+``_Shape`` entries, written once over their roles.  The detectors match
+C_2 / Ap_2, C_3 and D_2 + e against its entries, and the classification
+search derives from the same entries the generators a shape forces and the
+Apery elements it names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Callable, NamedTuple
 
 from .core import NumericalSemigroup
 from .errors import HypothesisFailed, InternalInconsistency
@@ -65,6 +73,71 @@ def _set(tables, which: str, k: int) -> set[int]:
     return set(store.get(k, ()))
 
 
+# -- the shapes of a decrease at level 2 --------------------------------------
+
+
+class _Shape(NamedTuple):
+    """One Apery-set shape of a decrease at level 2, over its roles (a, b) or
+    (a, b, c): the sums in Ap_2, the sums in D_2 + e, whether the shape is
+    symmetric in a and b and so read with a < b only, and the Apery element
+    of order 3 it names, if any.
+
+    The search's form of a shape is the generators it forces, e, the roles
+    and D_2 + e minus e, and the Apery elements it names, Ap_2 and Ap_3; the
+    detectors match C_2 or Ap_2, then C_3 and D_2 + e, against the sums.
+    """
+
+    ap2: Callable[..., tuple[int, ...]]
+    d2e: Callable[..., tuple[int, ...]]
+    ordered: bool = False
+    ap3: Callable[..., tuple[int, ...]] = lambda *roles: ()
+
+    def reads(self, roles: tuple[int, ...]) -> bool:
+        return not self.ordered or roles[0] < roles[1]
+
+    def skeleton(self, e: int, roles: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """(forced, named) of the shape on ``roles``."""
+        forced = (e,) + roles + tuple([x - e for x in self.d2e(*roles)])
+        return forced, self.ap2(*roles) + self.ap3(*roles)
+
+    def pinned(self, roles: tuple[int, ...], ap2: set[int]) -> set[int] | None:
+        """The D_2 + e sums on ``roles`` when the shape reads them and its
+        Ap_2 sums make ``ap2``, else None.  Ap_2, the test that fails almost
+        always, goes first."""
+        if self.reads(roles) and ap2 == set(self.ap2(*roles)):
+            return set(self.d2e(*roles))
+        return None
+
+
+# v = e-3: C_2 = Ap_2 on two generators, and C_3 = D_2 + e.  It is also the
+# two-generator C_2 / C_3 pattern of |Ap_2| = 3.
+_OFFSET3 = _Shape(
+    lambda a, b: (2 * a, a + b, 2 * b),
+    lambda a, b: (3 * a, 2 * a + b, a + 2 * b, 3 * b),
+    ordered=True,
+)
+# v = e-4, profile (3, 1), the order jump at level 2: 3a stays in the Apery
+# set and D_2 + e carries 4a.
+_CHAIN_AT_2 = _Shape(
+    _OFFSET3.ap2,
+    lambda a, b: (4 * a, 2 * a + b, a + 2 * b, 3 * b),
+    ap3=lambda a, b: (3 * a,),
+)
+# v = e-4, profile (4, 0): the three-generator shapes, cases (b) and (d) of
+# the |Ap_2| = 4 taxonomy, with C_3 = D_2 + e.
+_FOUR_ZERO = (
+    _Shape(
+        lambda a, b, c: (2 * a, a + b, 2 * b, a + c),
+        lambda a, b, c: (3 * a, 2 * a + b, a + 2 * b, 3 * b, 2 * a + c),
+    ),
+    _Shape(
+        lambda a, b, c: (2 * a, a + b, 2 * b, 2 * c),
+        lambda a, b, c: (3 * a, 2 * a + b, a + 2 * b, 3 * b, 3 * c),
+        ordered=True,
+    ),
+)
+
+
 # -- C_3 pattern on two generators ------------------------------------------
 
 
@@ -90,9 +163,9 @@ def classify_c3(S: NumericalSemigroup) -> C3Pattern | None:
         return None
     c2 = _set(tables, "c", 2)
     wits = []
-    for a, b in combinations(_roles(_ap1(S), c2), 2):
-        if c2 == {2 * a, a + b, 2 * b} and c3 == {3 * a, 2 * a + b, a + 2 * b, 3 * b}:
-            wits.append((a, b))
+    for roles in combinations(_roles(_ap1(S), c2), 2):
+        if _OFFSET3.pinned(roles, c2) == c3:
+            wits.append(roles)
     if not wits:
         raise InternalInconsistency("|C_3| >= 4 with |Ap_2| = 3 but no witness pair")
     return C3Pattern(tuple(wits))
@@ -124,16 +197,11 @@ def _ap24_candidates(ap1, ap2, c3):
             cand = {a + b + c, 3 * a, 2 * a + b, 2 * a + c}
             if c3 == cand:
                 yield "a", (a, b, c), True
-        # (b): 2a, a+b, 2b, a+c ; containment case
-        if ap2 == {2 * a, a + b, 2 * b, a + c}:
-            cand = {3 * a, 2 * a + b, a + 2 * b, 3 * b, 2 * a + c}
-            if c3 <= cand:
-                yield "b", (a, b, c), c3 == cand
-        # (d): 2a, a+b, 2b, 2c ; containment case
-        if a < b and ap2 == {2 * a, a + b, 2 * b, 2 * c}:
-            cand = {3 * a, 2 * a + b, a + 2 * b, 3 * b, 3 * c}
-            if c3 <= cand:
-                yield "d", (a, b, c), c3 == cand
+        # (b) and (d), the (4, 0) shapes: C_3 inside their D_2 + e
+        for case, shape in zip("bd", _FOUR_ZERO):
+            cand = shape.pinned((a, b, c), ap2)
+            if cand is not None and c3 <= cand:
+                yield case, (a, b, c), c3 == cand
         # (e): 2a, 2b, a+c, b+c
         if a < b and ap2 == {2 * a, 2 * b, a + c, b + c}:
             cand = {3 * a, 2 * a + c, 2 * b + c, 3 * b}
@@ -217,11 +285,10 @@ def check_offset3(S: NumericalSemigroup) -> Offset3Verdict:
     c2, c3 = _set(tables, "c", 2), _set(tables, "c", 3)
     d2_shift = {x + S.e for x in _set(tables, "d", 2)}
     wits = []
-    for a, b in combinations(_roles(_ap1(S), c2), 2):
-        want3 = {3 * a, 2 * a + b, a + 2 * b, 3 * b}
-        if c2 == {2 * a, a + b, 2 * b} and c3 == want3 and d2_shift == want3:
-            wits.append((a, b))
-    verdict = Offset3Verdict(
+    for roles in combinations(_roles(_ap1(S), c2), 2):
+        if _OFFSET3.pinned(roles, c2) == c3 == d2_shift:
+            wits.append(roles)
+    return Offset3Verdict(
         applicable=True,
         decreasing=profile.is_decreasing,
         decreasing_at_2=2 in profile.decreasing_levels,
@@ -229,7 +296,6 @@ def check_offset3(S: NumericalSemigroup) -> Offset3Verdict:
         pattern=bool(wits),
         witnesses=tuple(wits),
     )
-    return verdict
 
 
 # -- v = e - 4 equivalences ---------------------------------------------------
@@ -274,65 +340,41 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
         return Offset4Verdict(applicable=False)
     strata = apery_strata(S)
     profile = (strata.size(2), strata.size(3))
+    if profile not in ((4, 0), (3, 1)):
+        return Offset4Verdict(applicable=False, profile=profile)
     hp = hilbert_function(S)
     tables = strata_tables(S)
-    ap1 = _ap1(S)
+    ap1, ap2 = _ap1(S), set(strata.strata[2])
+    c3 = _set(tables, "c", 3)
     if profile == (4, 0):
-        ap2 = set(strata.strata[2])
-        c3 = _set(tables, "c", 3)
         d2_shift = {x + S.e for x in _set(tables, "d", 2)}
         wits = []
-        for a, b, c in permutations(_roles(ap1, ap2), 3):
-            pat1 = ap2 == {2 * a, a + b, 2 * b, a + c} and c3 == d2_shift == {
-                3 * a,
-                2 * a + b,
-                a + 2 * b,
-                3 * b,
-                2 * a + c,
-            }
-            pat2 = (
-                a < b
-                and ap2 == {2 * a, a + b, 2 * b, 2 * c}
-                and c3
-                == d2_shift
-                == {3 * a, 2 * a + b, a + 2 * b, 3 * b, 3 * c}
-            )
-            if pat1 or pat2:
-                wits.append((a, b, c))
-        return Offset4Verdict(
-            applicable=True,
-            profile=profile,
-            decreasing=hp.is_decreasing,
-            target_decrease=2 in hp.decreasing_levels,
-            pattern=bool(wits),
-            witnesses=tuple(wits),
-            level=2 if wits else None,
-        )
-    if profile == (3, 1):
-        ap2 = set(strata.strata[2])
-        c3 = _set(tables, "c", 3)
-        wits = []
-        level = None
+        for roles in permutations(_roles(ap1, ap2), 3):
+            if any(shape.pinned(roles, ap2) == c3 == d2_shift for shape in _FOUR_ZERO):
+                wits.append(roles)
+        level = 2 if wits else None
+        target = 2 in hp.decreasing_levels
+    else:
+        wits, level = [], None
+        # Ap_2 and C_3 make the two-generator pattern, read in either order.
         for a, b in permutations(_roles(ap1, ap2), 2):
-            if ap2 != {2 * a, a + b, 2 * b}:
-                continue
-            if c3 != {3 * a, 2 * a + b, a + 2 * b, 3 * b}:
+            if ap2 != set(_OFFSET3.ap2(a, b)) or c3 != set(_OFFSET3.d2e(a, b)):
                 continue
             for h in (2, 3):
                 dh_shift = {x + S.e for x in _set(tables, "d", h)}
                 if dh_shift == {4 * a} | _chain_values(a, b, h):
                     wits.append((a, b))
                     level = h if level is None else min(level, h)
-        return Offset4Verdict(
-            applicable=True,
-            profile=profile,
-            decreasing=hp.is_decreasing,
-            target_decrease=any(l <= 3 for l in hp.decreasing_levels),
-            pattern=bool(wits),
-            witnesses=tuple(wits),
-            level=level,
-        )
-    return Offset4Verdict(applicable=False, profile=profile)
+        target = any(l <= 3 for l in hp.decreasing_levels)
+    return Offset4Verdict(
+        applicable=True,
+        profile=profile,
+        decreasing=hp.is_decreasing,
+        target_decrease=target,
+        pattern=bool(wits),
+        witnesses=tuple(wits),
+        level=level,
+    )
 
 
 # -- two-generator chain structure (|Ap_2| = 3, |Ap_3| = 1) -------------------

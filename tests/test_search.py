@@ -162,7 +162,7 @@ def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     assert [S.gens for S in leaves] == [data.SP_FAMILY[1][1]]
     assert leaves[0].v == e - 3
     forced, named = (13, 14, 16, 31, 33, 35), (28, 30, 32, 42)
-    assert (forced, named) in set(search._offset4_shapes(e, 14, bound))
+    assert (forced, named) in set(search._cell_shapes(4, e, 14, bound))
     assert search._expand_skeleton(e, forced, named, bound) == []
 
 
@@ -242,6 +242,41 @@ def test_sp_family_equals_search_at_8e():
     assert len(results) == 694
     for S in results:
         assert recover_sp_parameters(S) is not None
+
+
+@pytest.mark.parametrize(
+    "e_range, v_offset, bound_kw",
+    [
+        ((13, 15), 3, dict(gen_bound_per_e=6)),
+        ((13, 14), 4, dict(gen_bound_per_e=6)),
+        ((16, 18), 4, dict(gen_bound=60)),
+    ],
+    ids=["v=e-3", "v=e-4", "v=e-4 bound 60"],
+)
+def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
+    """The search and the detectors read one table of shapes: every hit's
+    detector witness is the role tuple of a shape its cell lists, whose
+    forced values are generators of the hit and whose named values lie in
+    its Apery set."""
+    cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
+    detect = {3: check_offset3, 4: check_offset4}[v_offset]
+    results = search_decreasing(cfg)
+    assert results
+    for S in results:
+        gens, apery = set(S.gens), set(S.apery())
+        witnesses = detect(S).witnesses
+        assert witnesses
+        for roles in witnesses:
+            listed = [
+                (forced, named)
+                for forced, named in search._cell_shapes(
+                    v_offset, S.e, roles[0], cfg.bound_for(S.e)
+                )
+                if forced[1 : len(roles) + 1] == roles
+                and set(forced) <= gens
+                and set(named) <= apery
+            ]
+            assert listed, (S.gens, roles)
 
 
 def test_search_csv_shape(sp_instances):
