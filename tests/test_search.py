@@ -267,16 +267,13 @@ def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
         witnesses = detect(S).witnesses
         assert witnesses
         for roles in witnesses:
-            listed = [
-                (forced, named)
-                for forced, named in search._cell_shapes(
-                    v_offset, S.e, roles[0], cfg.bound_for(S.e)
-                )
-                if forced[1 : len(roles) + 1] == roles
+            shapes = search._cell_shapes(v_offset, S.e, roles[0], cfg.bound_for(S.e))
+            assert any(
+                forced[1 : len(roles) + 1] == roles
                 and set(forced) <= gens
                 and set(named) <= apery
-            ]
-            assert listed, (S.gens, roles)
+                for forced, named in shapes
+            ), (S.gens, roles)
 
 
 def test_search_csv_shape(sp_instances):
