@@ -49,7 +49,7 @@ from .errors import (
 )
 from .filtration import hilbert_function
 from .grading import _levels
-from .structure import _CHAIN_AT_2, _FOUR_ZERO, _OFFSET3, check_offset3
+from .structure import _FOUR_ZERO, _OFFSET3, check_offset3
 
 __all__ = [
     "ResidueRow",
@@ -310,14 +310,13 @@ def _expand_skeleton(
             return hits
         root_gens |= 1 << g
     # A remaining class's Apery element lies below its smallest element in
-    # the shape's closure (of order >= 2), in steps of e; a class with no
-    # value left ends the shape.
-    choices = []
-    for c in sorted(set(range(e)) - {x % e for x in forced + named}):
-        values = sum(1 << x for x in range(c + e, bound + 1, e)) & ~root
-        if not values:
-            return hits
-        choices.append(values)
+    # the shape's closure (of order >= 2), in steps of e.  c + e is always
+    # open: it is below 3e <= bound, and a closure element of a class that
+    # no forced value holds sums two or more forced values above e.
+    choices = [
+        sum(1 << x for x in range(c + e, bound + 1, e)) & ~root
+        for c in sorted(set(range(e)) - {x % e for x in forced + named})
+    ]
     # Each entry: (classes filled, generators, their closure, generator bits).
     stack = [(0, forced, root, root_gens)]
     while stack:
@@ -340,11 +339,13 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
     """The shapes, as (forced, named), of one (e, n_i = a) cell of the
     v = e - v_offset search, for each b, read off the structure table.
 
-    v = e-3 has one shape per b > a.  v = e-4 has the (3, 1) chains with
-    the order jump at level 2 or 3, and the (4, 0) three-generator shapes.
-    The jump at level 3 keeps one element of the two-generator C_3 in the
-    Apery set and drops the other three by e to generators.  The cuts on b,
-    the early exit per (a, b) and the per-residue pre-test are the search's.
+    v = e-3 has one shape per b > a.  v = e-4 has the (3, 1) shapes and the
+    (4, 0) three-generator shapes.  A (3, 1) shape keeps one element of the
+    two-generator C_3 in the Apery set and drops the other three by e to
+    generators; its walk tries every open value of the kept element's class,
+    so its completions hold the decreases at level 2 (4a - e a generator
+    when 3a is kept) as well as at level 3.  The cuts on b, the early exit
+    per (a, b) and the per-residue pre-test are the search's.
     """
     if v_offset == 3:
         # 3b - e is forced, so b <= (bound + e) / 3.
@@ -353,10 +354,9 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
         return
     # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
     for b in range(e + 1, (bound + e - a) // 2 + 1):
-        yield _CHAIN_AT_2.skeleton(e, (a, b))
         base, ap2 = _OFFSET3.skeleton(e, (a, b))
-        # the jump at level 3 names one element of the v = e-3 shape's C_3
-        # (its D_2 + e) as Ap_3; like that shape, it is symmetric in a, b
+        # a (3, 1) shape names one element of the v = e-3 shape's C_3 (its
+        # D_2 + e) as Ap_3; like that shape, it is symmetric in a, b
         if _OFFSET3.reads((a, b)):
             c3 = _OFFSET3.d2e(a, b)
             for ap3 in c3:

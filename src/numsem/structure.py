@@ -6,12 +6,12 @@ returns NotApplicable (a first-class verdict, distinct from false) when the
 hypotheses do not hold.  Detectors never trust each other: every reported
 witness is re-verified against the computed C_k / D_k sets.
 
-The Apery-set shapes of a decrease at level 2 (v = e-3, and the (3, 1)
-level-2 chain and the two (4, 0) shapes of v = e-4) live in one table of
-``_Shape`` entries, written once over their roles.  The detectors match
-C_2 / Ap_2, C_3 and D_2 + e against its entries, and the classification
-search derives from the same entries the generators a shape forces and the
-Apery elements it names.
+The Apery-set shapes of a decrease at level 2 (v = e-3, and the two (4, 0)
+shapes of v = e-4) live in one table of ``_Shape`` entries, written once
+over their roles.  The detectors match C_2 / Ap_2, C_3 and D_2 + e against
+its entries, and the classification search derives from the same entries
+the generators a shape forces and the Apery elements it names; the (3, 1)
+shapes of v = e-4 are the v = e-3 entry with one C_3 element kept as Ap_3.
 """
 
 from __future__ import annotations
@@ -78,19 +78,17 @@ def _set(tables, which: str, k: int) -> set[int]:
 
 class _Shape(NamedTuple):
     """One Apery-set shape of a decrease at level 2, over its roles (a, b) or
-    (a, b, c): the sums in Ap_2, the sums in D_2 + e, whether the shape is
-    symmetric in a and b and so read with a < b only, and the Apery element
-    of order 3 it names, if any.
+    (a, b, c): the sums in Ap_2, the sums in D_2 + e, and whether the shape
+    is symmetric in a and b and so read with a < b only.
 
     The search's form of a shape is the generators it forces, e, the roles
-    and D_2 + e minus e, and the Apery elements it names, Ap_2 and Ap_3; the
+    and D_2 + e minus e, and the Apery elements it names, Ap_2; the
     detectors match C_2 or Ap_2, then C_3 and D_2 + e, against the sums.
     """
 
     ap2: Callable[..., tuple[int, ...]]
     d2e: Callable[..., tuple[int, ...]]
     ordered: bool = False
-    ap3: Callable[..., tuple[int, ...]] = lambda *roles: ()
 
     def reads(self, roles: tuple[int, ...]) -> bool:
         return not self.ordered or roles[0] < roles[1]
@@ -98,7 +96,7 @@ class _Shape(NamedTuple):
     def skeleton(self, e: int, roles: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """(forced, named) of the shape on ``roles``."""
         forced = (e,) + roles + tuple([x - e for x in self.d2e(*roles)])
-        return forced, self.ap2(*roles) + self.ap3(*roles)
+        return forced, self.ap2(*roles)
 
     def pinned(self, roles: tuple[int, ...], ap2: set[int]) -> set[int] | None:
         """The D_2 + e sums on ``roles`` when the shape reads them and its
@@ -110,18 +108,12 @@ class _Shape(NamedTuple):
 
 
 # v = e-3: C_2 = Ap_2 on two generators, and C_3 = D_2 + e.  It is also the
-# two-generator C_2 / C_3 pattern of |Ap_2| = 3.
+# two-generator C_2 / C_3 pattern of |Ap_2| = 3, and with one element of C_3
+# kept as Ap_3 it is the (3, 1) profile of v = e-4.
 _OFFSET3 = _Shape(
     lambda a, b: (2 * a, a + b, 2 * b),
     lambda a, b: (3 * a, 2 * a + b, a + 2 * b, 3 * b),
     ordered=True,
-)
-# v = e-4, profile (3, 1), the order jump at level 2: 3a stays in the Apery
-# set and D_2 + e carries 4a.
-_CHAIN_AT_2 = _Shape(
-    _OFFSET3.ap2,
-    lambda a, b: (4 * a, 2 * a + b, a + 2 * b, 3 * b),
-    ap3=lambda a, b: (3 * a,),
 )
 # v = e-4, profile (4, 0): the three-generator shapes, cases (b) and (d) of
 # the |Ap_2| = 4 taxonomy, with C_3 = D_2 + e.

@@ -250,14 +250,18 @@ def test_sp_family_equals_search_at_8e():
         ((13, 15), 3, dict(gen_bound_per_e=6)),
         ((13, 14), 4, dict(gen_bound_per_e=6)),
         ((16, 18), 4, dict(gen_bound=60)),
+        ((14, 14), 4, dict(gen_bound_per_e=7)),
     ],
-    ids=["v=e-3", "v=e-4", "v=e-4 bound 60"],
+    ids=["v=e-3", "v=e-4", "v=e-4 bound 60", "v=e-4 7e"],
 )
 def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
     """The search and the detectors read one table of shapes: every hit's
     detector witness is the role tuple of a shape its cell lists, whose
     forced values are generators of the hit and whose named values lie in
-    its Apery set."""
+    its Apery set.  The two-generator shapes are symmetric in their roles
+    and listed with a < b, so a pair witness is looked up ascending: at 7e,
+    e = 14, the (3, 1) hit <14,23,25,55,57,59,66,68,77,86> has the witness
+    (25, 23), listed as the shape on (23, 25) that keeps 3 * 25 as Ap_3."""
     cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
     detect = {3: check_offset3, 4: check_offset4}[v_offset]
     results = search_decreasing(cfg)
@@ -267,6 +271,8 @@ def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
         witnesses = detect(S).witnesses
         assert witnesses
         for roles in witnesses:
+            if len(roles) == 2:
+                roles = tuple(sorted(roles))
             shapes = search._cell_shapes(v_offset, S.e, roles[0], cfg.bound_for(S.e))
             assert any(
                 forced[1 : len(roles) + 1] == roles
@@ -274,6 +280,24 @@ def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
                 and set(named) <= apery
                 for forced, named in shapes
             ), (S.gens, roles)
+
+
+@pytest.mark.parametrize(
+    "e_range, v_offset, bound_kw, hits",
+    [
+        ((13, 14), 4, dict(gen_bound_per_e=6), 51),
+        ((16, 18), 4, dict(gen_bound=60), 88),
+        ((13, 15), 3, dict(gen_bound_per_e=6), 1574),
+    ],
+    ids=["v=e-4", "v=e-4 bound 60", "v=e-3"],
+)
+def test_cells_complete_each_hit_once(e_range, v_offset, bound_kw, hits):
+    """The shapes partition the hits: summed over every cell, the
+    completions are exactly the deduplicated hits, so no shape lists a
+    semigroup another shape (or the same shape in another cell) lists."""
+    cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
+    completions = sum(len(search._run_task(task)) for task in search._tasks_for(cfg))
+    assert completions == len(search_decreasing(cfg)) == hits
 
 
 def test_search_csv_shape(sp_instances):

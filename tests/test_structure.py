@@ -83,6 +83,16 @@ def test_ap24_cases():
     assert (22, 37, 29) in m.witnesses
     assert m.equality
 
+    m = match_ap2_size4_case(build([13, 44, 47, 69]))
+    assert (m.case, m.all_cases) == ("e", ("e",))
+    assert m.witnesses == ((44, 47, 69),)
+    assert m.equality
+
+    m = match_ap2_size4_case(build([16, 23, 38, 56, 63, 65]))
+    assert (m.case, m.all_cases) == ("c", ("c",))
+    assert m.witnesses == ((23, 38, 56, 65),)
+    assert m.equality
+
 
 def test_ap24_hypothesis(e13):
     with pytest.raises(HypothesisFailed):
