@@ -155,6 +155,32 @@ def test_usage_error_exit(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize(
+    "argv, first_err",
+    [
+        (["check", "offset-3"], "error: check takes WHAT and a generator list"),
+        (["residue-table"], "error: residue-table takes the modulus e"),
+        (["search", "13"], "error: search takes flags only"),
+        (["info", "2,3", "--format", "xml"], "error: --format must be text, json or csv"),
+        (["construct-sp", "--p", "1", "--k", "1"], "error: construct-sp needs --kprime"),
+        (["search", "--v-offset", "3"], "error: search needs --e-range"),
+        (["search", "--e-range", "13", "--v-offset", "3"],
+         "error: --e-range must look like LO..HI"),
+        (["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "e"],
+         "error: --gen-bound must be an integer or Ne form"),
+        (["info", "2,x"], "error: InvalidGenerator: not an integer: 'x'"),
+    ],
+    ids=["check-no-gens", "residue-no-modulus", "search-positional", "format-xml",
+         "construct-no-kprime", "search-no-range", "range-form", "gen-bound-form",
+         "bad-generator"],
+)
+def test_usage_error_lines(capsys, argv, first_err):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == first_err
+
+
 def test_residue_table_verb(capsys):
     code, out, _ = run(["residue-table", "13"], capsys)
     assert code == 0
