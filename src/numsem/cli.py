@@ -7,6 +7,8 @@ identical text, JSON, or CSV, whatever the worker count.
 Exit codes: 0 success, 1 input/validation error (ResourceLimit included:
 generators whose e * max(gens) exceeds the fixed window budget), 2
 not-applicable (a check whose hypotheses the semigroup does not satisfy).
+A search that fails under --format csv writes its error line to stderr,
+not a payload to stdout.
 """
 
 from __future__ import annotations
@@ -42,27 +44,6 @@ from .structure import (
 
 __all__ = ["Command", "Report", "execute", "main", "parse", "render"]
 
-_VERBS = (
-    "info",
-    "apery",
-    "hilbert",
-    "strata",
-    "check",
-    "residue-table",
-    "construct-sp",
-    "search",
-)
-_CHECKS = (
-    "offset-3",
-    "offset-4",
-    "chain",
-    "apery-tail",
-    "c3",
-    "ap2-4",
-    "symmetric",
-    "delta",
-    "cm",
-)
 _FLAGS = {
     "--format": "format",
     "--max-level": "max_level",
@@ -78,16 +59,8 @@ _FLAGS = {
     "--beta": "beta",
     "--gamma": "gamma",
 }
-
-_USAGE = """usage: numsem VERB [ARGS] [FLAGS]
-  info GENS | apery GENS | hilbert GENS | strata GENS [--max-level K]
-  check WHAT GENS            WHAT: %s
-  residue-table E
-  construct-sp --p P --k K --kprime K [--alpha A --beta B --gamma C]
-  search --e-range LO..HI --v-offset {3,4} [--gen-bound 20e] [--workers N]
-flags: --format text|json|csv (csv: search only), --seed N
-GENS is a comma-separated list of positive integers, e.g. 13,19,24
-""" % "|".join(_CHECKS)
+# Flags whose values stay text; parse makes every other flag an integer.
+_TEXT_FLAGS = ("format", "e_range", "gen_bound")
 
 
 @dataclass
@@ -128,7 +101,7 @@ def parse(argv: list[str]) -> Command:
             positional.append(token)
             i += 1
     cmd = Command(verb, flags=flags)
-    if verb in ("info", "apery", "hilbert", "strata"):
+    if verb in _VIEWS:
         if len(positional) != 1:
             raise UsageError("%s takes exactly one generator list" % verb)
         cmd.gens = parse_generators(positional[0])
@@ -156,13 +129,12 @@ def parse(argv: list[str]) -> Command:
         raise UsageError("--format must be text, json or csv")
     if fmt == "csv" and verb != "search":
         raise UsageError("--format csv is only valid for search")
-    for key in ("max_level", "v_offset", "workers", "seed", "p", "k", "kprime",
-                "alpha", "beta", "gamma"):
-        if key in flags:
+    for flag, key in _FLAGS.items():
+        if key in flags and key not in _TEXT_FLAGS:
             try:
                 flags[key] = int(flags[key])
             except ValueError:
-                raise UsageError("--%s needs an integer" % key.replace("_", "-"))
+                raise UsageError("%s needs an integer" % flag)
     if flags.get("max_level", 0) < 0:
         raise UsageError("--max-level needs a level >= 0")
     return cmd
@@ -230,6 +202,76 @@ def _base_payload(S: NumericalSemigroup) -> dict:
         "v": S.v,
         "frobenius": S.f,
     }
+
+
+def _info_fields(S: NumericalSemigroup, cmd: Command) -> dict:
+    profile = hilbert_function(S)
+    fields = {
+        "apery": list(S.apery().elems),
+        "ap_strata": _strata_dict(S),
+        "hilbert": _encode(profile),
+        **_tables_dict(S),
+        "decreasing_levels": list(profile.decreasing_levels),
+        "tangent_cone_cm": is_tangent_cone_cm(S),
+        "classification": _encode(classification_report(S)),
+    }
+    del fields["r_stop"]
+    return fields
+
+
+# The one-semigroup views: the fields each adds after _base_payload.
+_VIEWS = {
+    "info": _info_fields,
+    "apery": lambda S, cmd: {"apery": list(S.apery().elems)},
+    "hilbert": lambda S, cmd: {"hilbert": _encode(hilbert_function(S))},
+    "strata": lambda S, cmd: {
+        "ap_strata": _strata_dict(S),
+        **_tables_dict(S, cmd.flags.get("max_level")),
+    },
+}
+_VERBS = (*_VIEWS, "check", "residue-table", "construct-sp", "search")
+
+
+def _c3_fields(S: NumericalSemigroup) -> dict:
+    pattern = classify_c3(S)
+    if pattern is None:
+        return {"found": False, "witnesses": []}
+    return {"found": True, "witnesses": _encode(pattern.witnesses)}
+
+
+def _ap24_fields(S: NumericalSemigroup) -> dict:
+    match = match_ap2_size4_case(S)
+    if match is None:
+        return {"found": False}
+    fields = {"found": True, **_encode(match)}
+    del fields["all_cases"]
+    return fields
+
+
+# The checks: each gives a result whose fields follow "check" in the payload,
+# either a dict of payload fields or a verdict; a verdict whose hypotheses
+# fail (applicable false) exits 2.
+_CHECKS = {
+    "offset-3": check_offset3,
+    "offset-4": check_offset4,
+    "chain": check_chain_structure,
+    "apery-tail": check_power_apery_tail,
+    "c3": _c3_fields,
+    "ap2-4": _ap24_fields,
+    "symmetric": lambda S: {"symmetric": is_symmetric(S)},
+    "delta": audit_delta,
+    "cm": lambda S: {"tangent_cone_cm": is_tangent_cone_cm(S)},
+}
+
+_USAGE = """usage: numsem VERB [ARGS] [FLAGS]
+  info GENS | apery GENS | hilbert GENS | strata GENS [--max-level K]
+  check WHAT GENS            WHAT: %s
+  residue-table E
+  construct-sp --p P --k K --kprime K [--alpha A --beta B --gamma C]
+  search --e-range LO..HI --v-offset {3,4} [--gen-bound 20e] [--workers N]
+flags: --format text|json|csv (csv: search only), --seed N
+GENS is a comma-separated list of positive integers, e.g. 13,19,24
+""" % "|".join(_CHECKS)
 
 
 # -- execution -----------------------------------------------------------------
@@ -325,77 +367,12 @@ def _dispatch(cmd: Command) -> Report:
         return Report(payload)
 
     S = build(cmd.gens)
-
-    if cmd.verb == "apery":
-        payload = {**_base_payload(S), "apery": list(S.apery().elems)}
-        return Report(payload)
-
-    if cmd.verb == "hilbert":
-        payload = {**_base_payload(S), "hilbert": _encode(hilbert_function(S))}
-        return Report(payload)
-
-    if cmd.verb == "strata":
-        payload = {
-            **_base_payload(S),
-            "ap_strata": _strata_dict(S),
-            **_tables_dict(S, cmd.flags.get("max_level")),
-        }
-        return Report(payload)
-
-    if cmd.verb == "info":
-        profile = hilbert_function(S)
-        payload = {
-            **_base_payload(S),
-            "apery": list(S.apery().elems),
-            "ap_strata": _strata_dict(S),
-            "hilbert": _encode(profile),
-            **_tables_dict(S),
-            "decreasing_levels": list(profile.decreasing_levels),
-            "tangent_cone_cm": is_tangent_cone_cm(S),
-            "classification": _encode(classification_report(S)),
-        }
-        del payload["r_stop"]
-        return Report(payload)
-
-    if cmd.verb == "check":
-        return _run_check(cmd.what, S)
-
-    raise UsageError("unknown verb %r" % cmd.verb)  # pragma: no cover
-
-
-# Checks whose verdict has a hypothesis: exit 2 when it is not applicable.
-_DETECTORS = {
-    "offset-3": check_offset3,
-    "offset-4": check_offset4,
-    "chain": check_chain_structure,
-    "apery-tail": check_power_apery_tail,
-}
-
-
-def _run_check(what: str, S: NumericalSemigroup) -> Report:
-    base = {**_base_payload(S), "check": what}
-    if what in _DETECTORS:
-        verdict = _DETECTORS[what](S)
-        return Report({**base, **_encode(verdict)}, [], 0 if verdict.applicable else 2)
-    if what == "symmetric":
-        return Report({**base, "symmetric": is_symmetric(S)})
-    if what == "cm":
-        return Report({**base, "tangent_cone_cm": is_tangent_cone_cm(S)})
-    if what == "delta":
-        return Report({**base, **_encode(audit_delta(S))})
-    if what == "c3":
-        pattern = classify_c3(S)
-        found = pattern is not None
-        witnesses = _encode(pattern.witnesses) if found else []
-        return Report({**base, "found": found, "witnesses": witnesses})
-    if what == "ap2-4":
-        match = match_ap2_size4_case(S)
-        payload = {**base, "found": match is not None}
-        if match is not None:
-            payload.update(_encode(match))
-            del payload["all_cases"]
-        return Report(payload)
-    raise UsageError("unknown check %r" % what)  # pragma: no cover
+    if cmd.verb != "check":
+        return Report({**_base_payload(S), **_VIEWS[cmd.verb](S, cmd)})
+    result = _CHECKS[cmd.what](S)
+    fields = _encode(result) if is_dataclass(result) else result
+    code = 0 if fields.get("applicable", True) else 2
+    return Report({**_base_payload(S), "check": cmd.what, **fields}, [], code)
 
 
 # -- rendering -----------------------------------------------------------------
@@ -465,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 1
     fmt = cmd.flags.get("format", "text")
+    if fmt == "csv" and "error" in report.payload:
+        sys.stderr.write("error: %(error)s: %(message)s\n" % report.payload)
+        return report.exit_code
     sys.stdout.write(render(report, fmt))
     return report.exit_code
 

@@ -226,6 +226,24 @@ def test_search_empty_csv(capsys):
     assert out == "e,v,generators,hilbert,decreasing_levels\n"
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--v-offset", "3", "--gen-bound", "2000000"],
+         "error: ResourceLimit: multiplicity 13 times generator bound 2000000 "
+         "exceeds the window budget 16777216"),
+        (["--v-offset", "5"], "error: BadRange: v_offset must be 3 or 4"),
+    ],
+    ids=["over-budget", "bad-offset"],
+)
+def test_search_csv_error_goes_to_stderr(capsys, flags, line):
+    """A failed csv search has no csv to print: its error is one stderr line."""
+    code, out, err = run(["search", "--e-range", "13..13", *flags, "--format", "csv"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == line + "\n"
+
+
 def test_seed_flag_accepted_and_echoed(capsys):
     code, out, _ = run(["hilbert", "2,3", "--seed", "7"], capsys)
     assert code == 0
