@@ -44,7 +44,6 @@ from .errors import (
     BadRange,
     ConstraintViolation,
     InternalInconsistency,
-    NonMinimal,
     ResourceLimit,
 )
 from .filtration import hilbert_function
@@ -165,9 +164,8 @@ class SpParameters:
 
 def sp_generator_list(params: SpParameters) -> tuple[int, ...]:
     """The family's ten generators: e, n_i, n_j, then the rest ascending."""
+    # SpParameters' constraints put n_i and n_j above 13 (n_j >= 16)
     e, a, b = _SP_E, params.n_i, params.n_j
-    if b <= e:
-        raise ConstraintViolation("n_j = %d is not above the multiplicity" % b)
     # the generators the v = e-3 shape forces beyond e, a and b, then one
     # per class it leaves open
     rest = [x - e for x in _OFFSET3.d2e(a, b)] + [
@@ -183,15 +181,11 @@ def sp_generator_list(params: SpParameters) -> tuple[int, ...]:
 def construct_sp(params: SpParameters) -> NumericalSemigroup:
     """Build and validate a family member.
 
-    Raises NonMinimal when the ten values do not minimally generate a
-    semigroup with e = 13 and v = 10.
+    build raises NonMinimal unless the ten values are distinct and minimal;
+    every value but the first, 13, lies above 13, so a member it returns has
+    e = 13 and v = 10.
     """
-    S = build(sp_generator_list(params))
-    if S.e != _SP_E or S.v != 10:
-        raise NonMinimal(
-            "family candidate has (e, v) = (%d, %d), not (13, 10)" % (S.e, S.v)
-        )
-    return S
+    return build(sp_generator_list(params))
 
 
 def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:

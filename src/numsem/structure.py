@@ -203,10 +203,8 @@ def _ap24_candidates(ap1, ap2, c3):
     members = set(ap1)
     for a, b in combinations(roles, 2):
         if {2 * a, a + b, 2 * b} <= ap2:
-            rest = ap2 - {2 * a, a + b, 2 * b}
-            if len(rest) != 1:
-                continue
-            extra = next(iter(rest))
+            # |Ap_2| = 4 and 2a < a+b < 2b leave exactly one element
+            (extra,) = ap2 - {2 * a, a + b, 2 * b}
             cand = {3 * a, 2 * a + b, a + 2 * b, 3 * b}
             if c3 != cand:
                 continue

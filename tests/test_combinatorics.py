@@ -55,6 +55,10 @@ def test_bad_configs():
         config([(2, 3), (1, 4)], 5, 3)  # not ascending
     with pytest.raises(BadConfig):
         config([], 5, 3)
+    with pytest.raises(BadConfig, match="distinct and positive"):
+        config([(3, 2)], 5, 3, n_i=5, n_j=5)
+    with pytest.raises(BadConfig, match="at least 3"):
+        config([(1, 1)], 2, 2)
 
 
 def all_configs(k_max):
@@ -97,6 +101,8 @@ def test_support_count_bound_cases():
         support_count_bound(rep_with((1, 1, 1, 1, 0), gens), 2)
     with pytest.raises(BadConfig):
         support_count_bound(wide, 4)  # h must stay below the order
+    with pytest.raises(BadConfig, match="at least one generator"):
+        support_count_bound(rep_with((0, 0, 0, 0, 0), gens), 2)  # the rep of 0
 
 
 def test_support_count_bound_on_real_tables(study_instances):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numsem import (
     BadRange,
     ConstraintViolation,
+    NonMinimal,
     ResourceLimit,
     SearchConfig,
     SemigroupError,
@@ -39,6 +40,8 @@ def test_residue_row_examples():
         residue_admissible(13, 0)
     with pytest.raises(BadRange):
         residue_admissible(13, 13)
+    with pytest.raises(BadRange, match="modulus e must be at least 2"):
+        residue_admissible(1, 1)
 
 
 def test_residue_row_collision_detail():
@@ -86,6 +89,39 @@ def test_sp_parameter_constraints():
         SpParameters(13, 1, 0, 2, 2, 3)
     with pytest.raises(ConstraintViolation):
         SpParameters(6, 1, 0, 3, 2, 3)  # alpha must stay below gamma
+    with pytest.raises(ConstraintViolation, match="k must be at least 1"):
+        SpParameters(1, 0, 0, 0, 0, 1)
+    with pytest.raises(ConstraintViolation, match="non-negative"):
+        SpParameters(6, 1, 0, -1, 2, 3)
+
+
+def test_sp_n_j_lies_above_the_multiplicity():
+    """The constraints alone put n_j above 13, so sp_generator_list needs no
+    check of it: every valid (p, k, k') with k <= 8 has n_j >= 16."""
+    valid = 0
+    for p in range(1, 13):
+        for k in range(1, 9):
+            for kprime in range(-4, 4 * k + 1):
+                try:
+                    params = SpParameters(p, k, kprime, 0, 0, 1)
+                except ConstraintViolation:
+                    continue
+                assert params.n_j >= 16, params
+                valid += 1
+    assert valid == sum(
+        1
+        for p in range(1, 13)
+        for k in range(1, 9)
+        for kprime in range(-2, 4 * k - 1)
+        if 4 * kprime > 3 * k - p
+    )
+
+
+def test_sp_candidates_that_are_no_members():
+    with pytest.raises(ConstraintViolation, match="derived generator falls below"):
+        sp_generator_list(SpParameters(1, 1, 1, 5, 0, 6))
+    with pytest.raises(NonMinimal, match="generator 59 is a sum of the others"):
+        construct_sp(SpParameters(1, 1, 1, 0, 0, 1))
 
 
 def test_sp_parameter_recovery_round_trip():
@@ -104,6 +140,8 @@ def test_search_config_validation():
         SearchConfig(e_range=(10, 12), v_offset=5, gen_bound_per_e=20)
     with pytest.raises(BadRange):
         SearchConfig(e_range=(10, 12), v_offset=3)
+    with pytest.raises(BadRange, match="workers must be at least 1"):
+        SearchConfig(e_range=(10, 12), v_offset=3, gen_bound=20, workers=0)
     cfg = SearchConfig(e_range=(10, 12), v_offset=3, gen_bound=20)
     with pytest.raises(BadRange):
         cfg.bound_for(10)  # 20 < 3 * 10
