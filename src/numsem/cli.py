@@ -204,6 +204,9 @@ def _base_payload(S: NumericalSemigroup) -> dict:
     }
 
 
+# -- views and checks ----------------------------------------------------------
+
+
 def _info_fields(S: NumericalSemigroup, cmd: Command) -> dict:
     profile = hilbert_function(S)
     fields = {

@@ -108,13 +108,7 @@ def test_sp_n_j_lies_above_the_multiplicity():
                     continue
                 assert params.n_j >= 16, params
                 valid += 1
-    assert valid == sum(
-        1
-        for p in range(1, 13)
-        for k in range(1, 9)
-        for kprime in range(-2, 4 * k - 1)
-        if 4 * kprime > 3 * k - p
-    )
+    assert valid == 1404
 
 
 def test_sp_candidates_that_are_no_members():
