@@ -44,20 +44,21 @@ from .structure import (
 
 __all__ = ["Command", "Report", "execute", "main", "parse", "render"]
 
+# Each flag: its key and the verbs that read it, None for every verb.
 _FLAGS = {
-    "--format": "format",
-    "--max-level": "max_level",
-    "--e-range": "e_range",
-    "--v-offset": "v_offset",
-    "--gen-bound": "gen_bound",
-    "--workers": "workers",
-    "--seed": "seed",
-    "--p": "p",
-    "--k": "k",
-    "--kprime": "kprime",
-    "--alpha": "alpha",
-    "--beta": "beta",
-    "--gamma": "gamma",
+    "--format": ("format", None),
+    "--max-level": ("max_level", ("strata",)),
+    "--e-range": ("e_range", ("search",)),
+    "--v-offset": ("v_offset", ("search",)),
+    "--gen-bound": ("gen_bound", ("search",)),
+    "--workers": ("workers", ("search",)),
+    "--seed": ("seed", None),
+    "--p": ("p", ("construct-sp",)),
+    "--k": ("k", ("construct-sp",)),
+    "--kprime": ("kprime", ("construct-sp",)),
+    "--alpha": ("alpha", ("construct-sp",)),
+    "--beta": ("beta", ("construct-sp",)),
+    "--gamma": ("gamma", ("construct-sp",)),
 }
 # Flags whose values stay text; parse makes every other flag an integer.
 _TEXT_FLAGS = ("format", "e_range", "gen_bound")
@@ -93,9 +94,12 @@ def parse(argv: list[str]) -> Command:
         if token.startswith("--"):
             if token not in _FLAGS:
                 raise UsageError("unknown flag %s" % token)
+            key, verbs = _FLAGS[token]
+            if verbs is not None and verb not in verbs:
+                raise UsageError("%s does not take %s" % (verb, token))
             if i + 1 >= len(rest):
                 raise UsageError("flag %s needs a value" % token)
-            flags[_FLAGS[token]] = rest[i + 1]
+            flags[key] = rest[i + 1]
             i += 2
         else:
             positional.append(token)
@@ -129,7 +133,7 @@ def parse(argv: list[str]) -> Command:
         raise UsageError("--format must be text, json or csv")
     if fmt == "csv" and verb != "search":
         raise UsageError("--format csv is only valid for search")
-    for flag, key in _FLAGS.items():
+    for flag, (key, _) in _FLAGS.items():
         if key in flags and key not in _TEXT_FLAGS:
             try:
                 flags[key] = int(flags[key])

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -193,19 +194,13 @@ def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:
     if S.e != _SP_E or S.v != 10:
         return None
     verdict = check_offset3(S)
-    if not (verdict.applicable and verdict.pattern):
+    if not verdict.pattern:
         return None
-    pair = None
-    for a, b in verdict.witnesses:
-        if b % 13 == (4 * a) % 13:
-            pair = (a, b)
-            break
-        if a % 13 == (4 * b) % 13:
-            pair = (b, a)
-            break
-    if pair is None:
+    ((a, b),) = verdict.witnesses
+    if b % 13 != (4 * a) % 13:
+        a, b = b, a
+    if b % 13 != (4 * a) % 13:
         return None
-    a, b = pair
     p, k = a % 13, a // 13
     kprime = (b - 4 * p) // 13
     apery = S._ap_class
@@ -413,21 +408,13 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
     must decrease; an empty list is a valid outcome.
     Raises ResourceLimit when e * bound exceeds the window budget.
     """
-    lo, hi = config.e_range
-    if lo > hi:
-        return []
     tasks = _tasks_for(config)
-    found: dict[tuple[int, ...], NumericalSemigroup] = {}
     # A fork pool starts all of its workers at once, so never ask for more
     # than there are tasks or CPUs.
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        for task in tasks:
-            found.update((S.gens, S) for S in _run_task(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_task, tasks, chunksize=8):
-                found.update((S.gens, S) for S in chunk)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        chunks = pool.map(_run_task, tasks, chunksize=8) if pool else map(_run_task, tasks)
+        found = {S.gens: S for chunk in chunks for S in chunk}
     out = [found[gens] for gens in sorted(found)]
     for S in out:
         if S.v != S.e - config.v_offset:

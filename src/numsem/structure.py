@@ -12,6 +12,9 @@ over their roles.  The detectors match C_2 / Ap_2, C_3 and D_2 + e against
 its entries, and the classification search derives from the same entries
 the generators a shape forces and the Apery elements it names; the (3, 1)
 shapes of v = e-4 are the v = e-3 entry with one C_3 element kept as Ap_3.
+A two-generator shape {2a, a+b, 2b} is read directly off its least and
+largest element (``_pair``); only the |Ap_2| = 4 shapes try tuples of
+candidate roles.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ def _ap1(S: NumericalSemigroup) -> tuple[int, ...]:
 
 def _roles(ap1: tuple[int, ...], target: set[int]) -> tuple[int, ...]:
     """The elements of Ap_1 that are halves x/2 of elements x of ``target``, or
-    differences x - h with h such a half, ascending.  Every shape below doubles
-    a generator into its pinning set (C_2 or Ap_2), and every other role meets
-    a doubled one in a sum there, so tuples of the roles find the witnesses
-    that tuples of Ap_1 find, in the same order, at O(|target|^2) cost."""
+    differences x - h with h such a half, ascending.  Every |Ap_2| = 4 shape
+    doubles a generator into Ap_2, and every other role meets a doubled one in
+    a sum there, so tuples of the roles find the witnesses that tuples of
+    Ap_1 find, in the same order, at O(|target|^2) cost."""
     members = set(ap1)
     halves = {x // 2 for x in target if not x % 2 and x // 2 in members}
     return tuple(sorted(halves | {x - h for x in target for h in halves} & members))
@@ -115,6 +118,17 @@ _OFFSET3 = _Shape(
     lambda a, b: (3 * a, 2 * a + b, a + 2 * b, 3 * b),
     ordered=True,
 )
+
+
+def _pair(ap1: tuple[int, ...], two: set[int]) -> tuple[int, int] | None:
+    """The pair (a, b) of Ap_1 with ``two`` = {2a, a+b, 2b}, else None.  As
+    2a < a+b < 2b, a and b are the halves of the least and the largest
+    element, so at most one pair fits."""
+    a, b = min(two, default=0) // 2, max(two, default=0) // 2
+    fits = a < b and two == set(_OFFSET3.ap2(a, b)) and a in ap1 and b in ap1
+    return (a, b) if fits else None
+
+
 # v = e-4, profile (4, 0): the three-generator shapes, cases (b) and (d) of
 # the |Ap_2| = 4 taxonomy, with C_3 = D_2 + e.
 _FOUR_ZERO = (
@@ -153,14 +167,10 @@ def classify_c3(S: NumericalSemigroup) -> C3Pattern | None:
     c3 = _set(tables, "c", 3)
     if len(c3) <= 3:
         return None
-    c2 = _set(tables, "c", 2)
-    wits = []
-    for roles in combinations(_roles(_ap1(S), c2), 2):
-        if _OFFSET3.pinned(roles, c2) == c3:
-            wits.append(roles)
-    if not wits:
+    pair = _pair(_ap1(S), _set(tables, "c", 2))
+    if pair is None or set(_OFFSET3.d2e(*pair)) != c3:
         raise InternalInconsistency("|C_3| >= 4 with |Ap_2| = 3 but no witness pair")
-    return C3Pattern(tuple(wits))
+    return C3Pattern((pair,))
 
 
 # -- |Ap_2| = 4 case analysis -------------------------------------------------
@@ -274,17 +284,15 @@ def check_offset3(S: NumericalSemigroup) -> Offset3Verdict:
     tables = strata_tables(S)
     c2, c3 = _set(tables, "c", 2), _set(tables, "c", 3)
     d2_shift = {x + S.e for x in _set(tables, "d", 2)}
-    wits = []
-    for roles in combinations(_roles(_ap1(S), c2), 2):
-        if _OFFSET3.pinned(roles, c2) == c3 == d2_shift:
-            wits.append(roles)
+    pair = _pair(_ap1(S), c2)
+    pattern = pair is not None and set(_OFFSET3.d2e(*pair)) == c3 == d2_shift
     return Offset3Verdict(
         applicable=True,
         decreasing=profile.is_decreasing,
         decreasing_at_2=2 in profile.decreasing_levels,
         short_profile=strata.h_r_prime == (1, S.e - 4, 3),
-        pattern=bool(wits),
-        witnesses=tuple(wits),
+        pattern=pattern,
+        witnesses=(pair,) if pattern else (),
     )
 
 
@@ -347,14 +355,14 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
     else:
         wits, level = [], None
         # Ap_2 and C_3 make the two-generator pattern, read in either order.
-        for a, b in permutations(_roles(ap1, ap2), 2):
-            if ap2 != set(_OFFSET3.ap2(a, b)) or c3 != set(_OFFSET3.d2e(a, b)):
-                continue
-            for h in (2, 3):
-                dh_shift = {x + S.e for x in _set(tables, "d", h)}
-                if dh_shift == {4 * a} | _chain_values(a, b, h):
-                    wits.append((a, b))
-                    level = h if level is None else min(level, h)
+        pair = _pair(ap1, ap2)
+        if pair and c3 == set(_OFFSET3.d2e(*pair)):
+            for a, b in (pair, pair[::-1]):
+                for h in (2, 3):
+                    dh_shift = {x + S.e for x in _set(tables, "d", h)}
+                    if dh_shift == {4 * a} | _chain_values(a, b, h):
+                        wits.append((a, b))
+                        level = h if level is None else min(level, h)
         target = any(l <= 3 for l in hp.decreasing_levels)
     return Offset4Verdict(
         applicable=True,
@@ -415,7 +423,9 @@ def check_chain_structure(S: NumericalSemigroup) -> ChainReport:
     wits = []
     any_pattern = False
     any_tail = False
-    for a, b in permutations(_roles(_ap1(S), _set(tables, "c", 2)), 2):
+    # ell >= 2, as H(1) = v >= H(0), so the chain pins C_2 = {2a, a+b, 2b}.
+    pair = _pair(_ap1(S), _set(tables, "c", 2))
+    for a, b in (pair, pair[::-1]) if pair else ():
         chain_ok = all(
             _set(tables, "c", r) == {(r - m) * a + m * b for m in range(r + 1)}
             for r in range(2, ell + 1)

@@ -169,10 +169,16 @@ def test_usage_error_exit(capsys):
         (["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "e"],
          "error: --gen-bound must be an integer or Ne form"),
         (["info", "2,x"], "error: InvalidGenerator: not an integer: 'x'"),
+        (["apery", "3,5", "--max-level", "2"], "error: apery does not take --max-level"),
+        (["info", "2,3", "--workers", "1"], "error: info does not take --workers"),
+        (["check", "symmetric", "2,3", "--p", "1"], "error: check does not take --p"),
+        (["search", "--e-range", "13..13", "--v-offset", "3", "--max-level", "2"],
+         "error: search does not take --max-level"),
     ],
     ids=["check-no-gens", "residue-no-modulus", "search-positional", "format-xml",
          "construct-no-kprime", "search-no-range", "range-form", "gen-bound-form",
-         "bad-generator"],
+         "bad-generator", "apery-max-level", "info-workers", "check-p",
+         "search-max-level"],
 )
 def test_usage_error_lines(capsys, argv, first_err):
     code, out, err = run(argv, capsys)

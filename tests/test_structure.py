@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -245,15 +246,55 @@ def _wide_ap24(e):
     return [e] + [e + c for c in range(1, e) if c not in (2, 4, 6, 8)]
 
 
-def test_roles_agree_with_enumerating_ap1(monkeypatch, study_instances, sp_instances):
-    """Tuples of the roles give every detector the verdicts and witnesses,
-    in the same order, that tuples of all of Ap_1 give."""
+def _detector_corpus(study_instances, sp_instances):
     instances = study_instances + sp_instances + random_corpus(13, 500, dense_every=3)
-    instances += [build(_wide_ap24(e)) for e in range(20, 61, 4)]
+    return instances + [build(_wide_ap24(e)) for e in range(20, 61, 4)]
+
+
+def test_roles_agree_with_enumerating_ap1(monkeypatch, study_instances, sp_instances):
+    """Tuples of the roles give the |Ap_2| = 4 detectors (the five cases and
+    the (4, 0) profile of v = e-4) the verdicts and witnesses, in the same
+    order, that tuples of all of Ap_1 give."""
+    instances = _detector_corpus(study_instances, sp_instances)
     fast = [_encode(classification_report(S)) for S in instances]
     monkeypatch.setattr(structure, "_roles", lambda ap1, target: ap1)
     for S, want in zip(instances, fast):
         assert _encode(classification_report(S)) == want, S
+
+
+def _pair_by_enumeration(ap1, two):
+    """The pair a < b of Ap_1 with two = {2a, a+b, 2b}, found by trying every
+    pair of Ap_1; asserts that at most one fits."""
+    fits = [(a, b) for a, b in combinations(ap1, 2) if two == {2 * a, a + b, 2 * b}]
+    assert len(fits) <= 1, fits
+    return fits[0] if fits else None
+
+
+def test_pair_agrees_with_enumerating_ap1(monkeypatch, study_instances, sp_instances):
+    """Reading the two-generator pair off C_2 / Ap_2 gives every detector the
+    verdicts and witnesses that enumerating pairs of Ap_1 gives."""
+    instances = _detector_corpus(study_instances, sp_instances)
+    fast = [_encode(classification_report(S)) for S in instances]
+    monkeypatch.setattr(structure, "_pair", _pair_by_enumeration)
+    for S, want in zip(instances, fast):
+        assert _encode(classification_report(S)) == want, S
+
+
+@pytest.mark.parametrize(
+    "ap1, two, want",
+    [
+        ((19, 24, 30), {38, 43, 48}, (19, 24)),
+        ((19, 24), {38, 43, 48, 50}, None),  # |two| = 4
+        ((19, 24), {38}, None),  # {2a} alone
+        ((19, 24), {39, 43, 48}, None),  # odd least element
+        ((19, 30), {38, 43, 48}, None),  # the half 24 is not in Ap_1
+        ((24, 30), {38, 43, 48}, None),  # the half 19 is not in Ap_1
+        ((), set(), None),
+    ],
+)
+def test_pair_cases(ap1, two, want):
+    assert structure._pair(ap1, two) == want
+    assert _pair_by_enumeration(ap1, two) == want
 
 
 def test_wide_ap24_member_is_classified_fast():
