@@ -7,8 +7,8 @@ identical text, JSON, or CSV, whatever the worker count.
 Exit codes: 0 success, 1 input/validation error (ResourceLimit included:
 generators whose e * max(gens) exceeds the fixed window budget), 2
 not-applicable (a check whose hypotheses the semigroup does not satisfy).
-A search that fails under --format csv writes its error line to stderr,
-not a payload to stdout.
+Under --format csv a search's payload holds its csv string alone; a search
+that fails there writes its error line to stderr, not a payload to stdout.
 """
 
 from __future__ import annotations
@@ -356,6 +356,9 @@ def _dispatch(cmd: Command) -> Report:
             **kwargs,
         )
         results = search_decreasing(config)
+        # csv prints the csv string alone: build no per-hit dicts for it
+        if cmd.flags.get("format") == "csv":
+            return Report({"csv": search_results_csv(results)})
         payload = {
             "e_range": list(config.e_range),
             "v_offset": config.v_offset,

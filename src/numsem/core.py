@@ -96,13 +96,14 @@ class NumericalSemigroup:
     The constructor validates the generator list: it must be non-empty,
     positive, have gcd 1, and be minimal (no generator representable by the
     others).  Instances are immutable.  An instance keeps its Apery table,
-    built with it; the closure it is read off is dropped.  Only the order
-    table (``grading.order_table``) is computed on first use and cached.
-    Pickling and copying rebuild from the generators, with every check and
-    without that cache.
+    built with it; the closure it is read off is dropped.  The order table
+    (``grading.order_table``) is computed on first use and cached.  A search
+    hit instead keeps only the Hilbert profile its proof read off a full,
+    uncached order table (``_hilbert``; None otherwise).  Pickling and
+    copying rebuild from the generators, with every check and without either.
     """
 
-    __slots__ = ("gens", "e", "v", "f", "_ap_class", "_order_table")
+    __slots__ = ("gens", "e", "v", "f", "_ap_class", "_order_table", "_hilbert")
 
     def __init__(self, gens: Iterable[int]):
         raw = list(gens)
@@ -151,6 +152,7 @@ class NumericalSemigroup:
         object.__setattr__(self, "v", len(gens))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "_order_table", None)
+        object.__setattr__(self, "_hilbert", None)
         # The Apery set is the members s with s - e outside.  The theorems
         # that pin it down: e elements, one per class, 0 and maximum f + e.
         column = bits & ~(bits << e) & window_mask(f + e)

@@ -44,7 +44,13 @@ class DeltaAudit:
 
 
 def hilbert_function(S: NumericalSemigroup) -> HilbertProfile:
-    """Exact Hilbert function with certified stabilization at e."""
+    """Exact Hilbert function with certified stabilization at e.
+
+    A search hit returns the profile its proof kept; any other semigroup
+    reads its (cached) order table.
+    """
+    if S._hilbert is not None:
+        return S._hilbert
     return order_table(S).hilbert
 
 

@@ -28,7 +28,9 @@ Three layers:
   never makes a redundant one minimal again, so no completion of that
   prefix is minimal.  Each surviving leaf is made from the closure the walk
   holds for it and swept up to its first decrease; every hit is re-verified
-  by the full order table, whose H_R(1) = v check backs up the pruning.
+  by a full order table, whose H_R(1) = v check backs up the pruning, and
+  then keeps only the Hilbert profile that table proved: the table itself
+  is dropped, not cached on the hit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     ResourceLimit,
 )
 from .filtration import hilbert_function
-from .grading import _levels
+from .grading import OrderTable, _levels
 from .structure import _FOUR_ZERO, _OFFSET3, check_offset3
 
 __all__ = [
@@ -404,8 +406,11 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
     Deterministic for any worker count: results are deduplicated by their
     minimal generating set and sorted by (e, generators).  Every hit is
     re-verified before it is returned: its embedding dimension must be
-    e - v_offset, and the full order table on the semigroup made at its leaf
-    must decrease; an empty list is a valid outcome.
+    e - v_offset, and a full order table on the semigroup made at its leaf,
+    with every check of its construction, must decrease.  The hit then keeps
+    that table's Hilbert profile, which ``hilbert_function`` returns, and
+    not the table: any other read builds and caches one on demand, as for a
+    fresh semigroup.  An empty list is a valid outcome.
     Raises ResourceLimit when e * bound exceeds the window budget.
     """
     tasks = _tasks_for(config)
@@ -422,8 +427,10 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
                 "search hit has embedding dimension %d, not e - %d = %d: %s"
                 % (S.v, config.v_offset, S.e - config.v_offset, S.gens)
             )
-        if not hilbert_function(S).is_decreasing:
+        profile = OrderTable(S).hilbert
+        if not profile.is_decreasing:
             raise InternalInconsistency("search hit fails re-verification: %s" % (S.gens,))
+        object.__setattr__(S, "_hilbert", profile)
     return out
 
 

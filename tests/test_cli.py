@@ -221,6 +221,10 @@ def test_search_csv_determinism(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.startswith("e,v,generators,hilbert,decreasing_levels\n")
+    # csv builds its csv string alone, the one the json payload carries
+    assert execute(parse(argv)).payload == {"csv": out1}
+    argv[-1] = "json"
+    assert execute(parse(argv)).payload["csv"] == out1
 
 
 def test_search_empty_csv(capsys):

@@ -501,6 +501,20 @@ def _accept_every_leaf(monkeypatch):
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 
+def _corrupt_hit_proof(monkeypatch):
+    """The proof's order table of each hit sees its least generator above e
+    in 2M, so that Apery element gets no order; the leaf sweep, which reads
+    the search module's own reference to the levels, sees the true ones."""
+    real = grading._levels
+
+    def levels(gens, f):
+        for n, here, above in real(gens, f):
+            yield n, here, above | (1 << gens[1]) if n == 1 else above
+
+    monkeypatch.setattr(grading, "_levels", levels)
+    return lambda: search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4))
+
+
 def _wrong_dimension_hit(monkeypatch):
     """Every task of a v = e-4 search returns a decreasing family member of
     e = 13 and v = 10 = e-3: only its embedding dimension tells it apart."""
@@ -532,6 +546,7 @@ def _wrong_dimension_hit(monkeypatch):
         (_min_plus_jump, "moves by other than 0 or e"),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
+        (_corrupt_hit_proof, "Apery strata|not a landing"),
         (_wrong_dimension_hit, r"embedding dimension 10, not e - 4 = 9"),
         (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
     ],
@@ -544,6 +559,7 @@ def _wrong_dimension_hit(monkeypatch):
         "min_plus_moves",
         "delta_audit",
         "search_reverify",
+        "search_proof_table",
         "search_dimension",
         "embedding_dimension",
     ],

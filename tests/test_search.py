@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from numsem import (
     SearchConfig,
     SemigroupError,
     SpParameters,
+    apery_strata,
     build,
     check_offset3,
     check_offset4,
@@ -330,6 +333,26 @@ def test_cells_complete_each_hit_once(e_range, v_offset, bound_kw, hits):
     cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
     completions = sum(len(search._run_task(task)) for task in search._tasks_for(cfg))
     assert completions == len(search_decreasing(cfg)) == hits
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig((13, 13), 3, gen_bound_per_e=4), SearchConfig((17, 17), 4, gen_bound=59)],
+    ids=["v=e-3", "v=e-4"],
+)
+def test_search_hits_keep_only_their_hilbert_profile(cfg):
+    """A hit keeps the Hilbert profile its proof read off a full order table,
+    not the table; every other read builds one as for a fresh semigroup."""
+    hits = search_decreasing(cfg)
+    assert hits
+    for S in hits:
+        assert S._order_table is None
+        fresh = build(S.gens)
+        assert hilbert_function(S) == hilbert_function(fresh)
+        assert S._order_table is None
+        assert strata_tables(S) == strata_tables(fresh)
+        assert apery_strata(S) == apery_strata(fresh)
+        assert pickle.loads(pickle.dumps(S)).gens == S.gens
 
 
 def test_search_csv_shape(sp_instances):
