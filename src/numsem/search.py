@@ -27,10 +27,15 @@ Three layers:
   as one of its generators becomes a sum of the others: adding generators
   never makes a redundant one minimal again, so no completion of that
   prefix is minimal.  Each surviving leaf is made from the closure the walk
-  holds for it and swept up to its first decrease; every hit is re-verified
-  by a full order table, whose H_R(1) = v check backs up the pruning, and
-  then keeps only the Hilbert profile that table proved: the table itself
-  is dropped, not cached on the hit.
+  holds for it.  A shape that forces more generators y = s - e, s a sum of
+  three of its roles, than it names Apery elements decreases at level 2 at
+  every leaf (the count is in ``_expand_skeleton``): that is every shape of
+  v = e-3 and the (4, 0) shapes of v = e-4, whose leaves are hits as they
+  stand.  The leaves of the (3, 1) shapes are swept up to their first
+  decrease.  Every hit is re-verified by a full order table, whose
+  H_R(1) = v check backs up the pruning and whose decrease backs up the
+  count, and then keeps only the Hilbert profile that table proved: the
+  table itself is dropped, not cached on the hit.
 """
 
 from __future__ import annotations
@@ -272,7 +277,7 @@ def _candidate_is_hit(S: NumericalSemigroup) -> bool:
 
 
 def _expand_skeleton(
-    e: int, forced: tuple[int, ...], named: tuple[int, ...], bound: int
+    e: int, forced: tuple[int, ...], named: tuple[int, ...], decreases: bool, bound: int
 ) -> list[NumericalSemigroup]:
     """Complete one shape to its minimal semigroups whose levels decrease.
 
@@ -290,6 +295,16 @@ def _expand_skeleton(
     levels decrease.  Every class holds a generator or a named sum of
     generators, so the gcd is 1, and the Apery checks raising at a leaf is an
     engine fault.
+
+    A leaf of a shape flagged ``decreases`` is a hit without a sweep.  Every
+    minimal generator but e lies in Ap_1, so the Apery elements of order
+    >= 2 number e - v = len(named), and C_2, the order-2 elements outside
+    M + e, is the set of Apery elements of order 2: |C_2| <= len(named).
+    Each forced y = s - e, s a sum of three roles, is a minimal generator
+    with y + e in 3M, so y is in D_2, and the forced values lie in distinct
+    classes.  So H(2) - H(1) = |C_2| - |D_2| < 0 when the forced y outnumber
+    the named elements, and as H(1) = v >= H(0), level 2 is the first
+    decrease.  Any other leaf is swept by ``_candidate_is_hit``.
     """
     hits: list[NumericalSemigroup] = []
     if max(forced) > bound or not _one_per_class(e, forced + named):
@@ -314,7 +329,7 @@ def _expand_skeleton(
         depth, gens, closure, gen_bits = stack.pop()
         if depth == len(choices):
             S = NumericalSemigroup._from_closure(tuple(sorted(gens)), closure, bound)
-            if _candidate_is_hit(S):
+            if decreases or _candidate_is_hit(S):
                 hits.append(S)
             continue
         # The closure holds e, so a reached value of a class leaves out every
@@ -326,9 +341,19 @@ def _expand_skeleton(
     return hits
 
 
+def _flagged(
+    roles: tuple[int, ...], forced: tuple[int, ...], named: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """(forced, named, decreases) of a shape on ``roles``: its forced values
+    are e, the roles and the generators y = s - e, s a sum of three roles,
+    and ``decreases`` says whether those y outnumber the named Apery
+    elements, which makes every leaf decrease at level 2."""
+    return forced, named, len(forced) - 1 - len(roles) > len(named)
+
+
 def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
-    """The shapes, as (forced, named), of one (e, n_i = a) cell of the
-    v = e - v_offset search, for each b, read off the structure table.
+    """The shapes, as (forced, named, decreases), of one (e, n_i = a) cell
+    of the v = e - v_offset search, for each b, read off the structure table.
 
     v = e-3 has one shape per b > a.  v = e-4 has the (3, 1) shapes and the
     (4, 0) three-generator shapes.  A (3, 1) shape keeps one element of the
@@ -337,11 +362,16 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
     so its completions hold the decreases at level 2 (4a - e a generator
     when 3a is kept) as well as at level 3.  The cuts on b, the early exit
     per (a, b) and the per-residue pre-test are the search's.
+
+    ``decreases`` is set when the shape forces more generators y = s - e
+    than it names Apery elements: 4 > 3 at v = e-3 and 5 > 4 for the (4, 0)
+    shapes, whose leaves all decrease at level 2 (see ``_expand_skeleton``),
+    but 3 < 4 for the (3, 1) shapes, whose leaves are swept.
     """
     if v_offset == 3:
         # 3b - e is forced, so b <= (bound + e) / 3.
         for b in range(a + 1, (bound + e) // 3 + 1):
-            yield _OFFSET3.skeleton(e, (a, b))
+            yield _flagged((a, b), *_OFFSET3.skeleton(e, (a, b)))
         return
     # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
     for b in range(e + 1, (bound + e - a) // 2 + 1):
@@ -351,7 +381,8 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
         if _OFFSET3.reads((a, b)):
             c3 = _OFFSET3.d2e(a, b)
             for ap3 in c3:
-                yield (e, a, b) + tuple(x - e for x in c3 if x != ap3), ap2 + (ap3,)
+                forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
+                yield _flagged((a, b), forced, ap2 + (ap3,))
         # (4, 0): a shape's values hold the v = e-3 shape's on (a, b), so if
         # those collide or pass the bound, no c fits.  Whether the others
         # are distinct depends only on c mod e, so each residue r stands in
@@ -367,7 +398,7 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
             ]
             for c in range(r + e, bound + 1, e):
                 for shape in fits:
-                    yield shape.skeleton(e, (a, b, c))
+                    yield _flagged((a, b, c), *shape.skeleton(e, (a, b, c)))
 
 
 def _cells(e: int, bound: int) -> Iterator[int]:
@@ -395,8 +426,8 @@ def _run_task(task: tuple[int, int, int, int]) -> list[NumericalSemigroup]:
     """All hits of one (e, n_i) cell: each of its shapes, completed."""
     v_offset, e, n_i, bound = task
     hits: list[NumericalSemigroup] = []
-    for forced, named in _cell_shapes(v_offset, e, n_i, bound):
-        hits.extend(_expand_skeleton(e, forced, named, bound))
+    for forced, named, decreases in _cell_shapes(v_offset, e, n_i, bound):
+        hits.extend(_expand_skeleton(e, forced, named, decreases, bound))
     return hits
 
 
@@ -407,7 +438,9 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
     minimal generating set and sorted by (e, generators).  Every hit is
     re-verified before it is returned: its embedding dimension must be
     e - v_offset, and a full order table on the semigroup made at its leaf,
-    with every check of its construction, must decrease.  The hit then keeps
+    with every check of its construction, must decrease; that includes the
+    leaves taken as hits unswept because their shape forces the decrease,
+    so a fault in that count raises here.  The hit then keeps
     that table's Hilbert profile, which ``hilbert_function`` returns, and
     not the table: any other read builds and caches one on demand, as for a
     fresh semigroup.  An empty list is a valid outcome.

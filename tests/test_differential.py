@@ -515,6 +515,15 @@ def _corrupt_hit_proof(monkeypatch):
     return lambda: search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4))
 
 
+def _flagged_leaf_without_decrease(monkeypatch):
+    """Every v = e-3 leaf is a hit unswept, as its shape forces the decrease;
+    here the proof's order table of each one reads as that of <3, 4, 5>, which
+    never decreases, so the proof is what stops it."""
+    flat = grading.OrderTable(build([3, 4, 5]))
+    monkeypatch.setattr(search, "OrderTable", lambda S: flat)
+    return lambda: search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4))
+
+
 def _wrong_dimension_hit(monkeypatch):
     """Every task of a v = e-4 search returns a decreasing family member of
     e = 13 and v = 10 = e-3: only its embedding dimension tells it apart."""
@@ -547,6 +556,7 @@ def _wrong_dimension_hit(monkeypatch):
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
         (_corrupt_hit_proof, "Apery strata|not a landing"),
+        (_flagged_leaf_without_decrease, "fails re-verification"),
         (_wrong_dimension_hit, r"embedding dimension 10, not e - 4 = 9"),
         (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
     ],
@@ -560,6 +570,7 @@ def _wrong_dimension_hit(monkeypatch):
         "delta_audit",
         "search_reverify",
         "search_proof_table",
+        "search_flagged_leaf",
         "search_dimension",
         "embedding_dimension",
     ],

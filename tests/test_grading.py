@@ -2,6 +2,7 @@ import pytest
 
 from numsem import (
     BadLevel,
+    MaximalRepresentation,
     NotMember,
     apery_strata,
     build,
@@ -88,6 +89,13 @@ def test_induced_elements(e13):
         induced_elements(rep, 6)
     with pytest.raises(BadLevel):
         induced_elements(rep, -1)
+
+
+def test_induced_elements_above_the_coefficient_sum():
+    """A representation whose order exceeds its coefficient sum has no
+    sub-combination of that many generators."""
+    rep = MaximalRepresentation((3, 5), (1, 0), 3, 2)
+    assert induced_elements(rep, 2) == []
 
 
 def test_apery_strata_reference(e13):

@@ -47,6 +47,12 @@ def test_residue_row_examples():
         residue_admissible(1, 1)
 
 
+def test_residue_row_missing_classes():
+    """At e = 13, h = 4 the base products miss the classes the five degree-4/5
+    products must cover."""
+    assert residue_admissible(13, 4).missing_classes == (7, 10, 11)
+
+
 def test_residue_row_collision_detail():
     row = residue_admissible(13, 5)
     assert row.base_classes.count(2) == 2  # 2*n_i and 3*n_j collide
@@ -193,12 +199,14 @@ def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     without the class test its walk would make v = e-3 leaves."""
     monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
     e, bound = 13, 6 * 13
-    leaves = search._expand_skeleton(e, (13, 14, 17, 29, 32, 35, 38), (28, 31, 34), bound)
+    leaves = search._expand_skeleton(
+        e, (13, 14, 17, 29, 32, 35, 38), (28, 31, 34), False, bound
+    )
     assert [S.gens for S in leaves] == [data.SP_FAMILY[1][1]]
     assert leaves[0].v == e - 3
     forced, named = (13, 14, 16, 31, 33, 35), (28, 30, 32, 42)
-    assert (forced, named) in set(search._cell_shapes(4, e, 14, bound))
-    assert search._expand_skeleton(e, forced, named, bound) == []
+    assert (forced, named, False) in set(search._cell_shapes(4, e, 14, bound))
+    assert search._expand_skeleton(e, forced, named, False, bound) == []
 
 
 def test_search_e13_hits(sp_instances):
@@ -313,7 +321,7 @@ def test_detector_witnesses_are_listed_shapes(e_range, v_offset, bound_kw):
                 forced[1 : len(roles) + 1] == roles
                 and set(forced) <= gens
                 and set(named) <= apery
-                for forced, named in shapes
+                for forced, named, _ in shapes
             ), (S.gens, roles)
 
 
@@ -333,6 +341,35 @@ def test_cells_complete_each_hit_once(e_range, v_offset, bound_kw, hits):
     cfg = SearchConfig(e_range=e_range, v_offset=v_offset, **bound_kw)
     completions = sum(len(search._run_task(task)) for task in search._tasks_for(cfg))
     assert completions == len(search_decreasing(cfg)) == hits
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig((13, 14), 3, gen_bound_per_e=4), SearchConfig((16, 18), 4, gen_bound=60)],
+    ids=["v=e-3", "v=e-4 bound 60"],
+)
+def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
+    """A shape flagged ``decreases`` forces more generators y = s - e than it
+    names Apery elements, so its leaves are hits without a sweep.  Here the
+    sweep runs on every leaf again: each leaf of a flagged shape is a hit
+    whose first decrease is at level 2, and the swept hits are the search's."""
+    want = [S.gens for S in search_decreasing(cfg)]
+    real = search._candidate_is_hit
+    swept = []
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: swept.append(S) or real(S))
+    hits, flagged = set(), []
+    for v_offset, e, n_i, bound in search._tasks_for(cfg):
+        for forced, named, decreases in search._cell_shapes(v_offset, e, n_i, bound):
+            start = len(swept)
+            hits.update(S.gens for S in search._expand_skeleton(e, forced, named, False, bound))
+            if decreases:
+                flagged += swept[start:]
+    assert sorted(hits) == want
+    assert flagged
+    for S in flagged:
+        assert real(S)
+        assert hilbert_function(S).decreasing_levels[0] == 2, S.gens
+    assert {S.e for S in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from numsem import (
     HypothesisFailed,
     apery_strata,
+    audit_delta,
     build,
     check_chain_structure,
     check_offset3,
@@ -115,6 +116,21 @@ def test_offset3_family_member():
     v = check_offset3(S)
     assert v.applicable and v.decreasing and v.pattern and v.consistent
     assert (14, 17) in v.witnesses
+
+
+def test_offset3_beyond_the_paper_decreases_at_two_levels():
+    """An e = 19, v = e-3 search hit whose H_R decreases at levels 2 and 3:
+    the first decrease is the least of the levels, and the v = e-3 pattern,
+    the delta audit and non-symmetry still hold."""
+    S = build([19, 21, 24, 41, 44, 46, 47, 49, 50, 51, 52, 53, 54, 55, 56, 58])
+    profile = hilbert_function(S)
+    assert profile.values == (1, 16, 15, 14, 17, 18, 19)
+    assert profile.decreasing_levels == (2, 3)
+    v = check_offset3(S)
+    assert v.pattern and v.decreasing_at_2 and v.consistent
+    assert v.witnesses == ((21, 24),)
+    assert audit_delta(S).ok
+    assert not is_symmetric(S)
 
 
 def test_offset3_not_applicable():
