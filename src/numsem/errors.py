@@ -46,7 +46,7 @@ class HypothesisFailed(SemigroupError):
 
 
 class ConstraintViolation(SemigroupError):
-    """Family parameters violate the defining constraints."""
+    """Family parameters, or a hand-built record, violate their defining constraints."""
 
 
 class InternalInconsistency(SemigroupError):

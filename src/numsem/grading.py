@@ -35,7 +35,7 @@ from typing import Iterator
 
 from ._bitset import bits_to_tuple, closure_bits, shift_sum, window_mask
 from .core import NumericalSemigroup
-from .errors import BadLevel, InternalInconsistency, NotMember
+from .errors import BadLevel, ConstraintViolation, InternalInconsistency, NotMember
 
 __all__ = [
     "AperyStratification",
@@ -483,7 +483,9 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     the support of ``rep``, from its largest generator down, and only the
     counts that leave a number the smaller ones can take; the last two
     generators of the support then give an arithmetic progression of
-    values, one per count of the larger.
+    values, one per count of the larger.  Raises ConstraintViolation when
+    the coefficients of ``rep`` do not sum to its order; its value is taken
+    as given.
     """
     if h < 0 or h > rep.order:
         raise BadLevel("level %d not in [0, %d]" % (h, rep.order))
@@ -492,8 +494,10 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     gens = tuple(compress(rep.gens, rep.coeffs))
     coeffs = [c for c in rep.coeffs if c]
     below = [0, *accumulate(coeffs)]  # below[i]: the coefficient sum of gens[:i]
-    if h > below[-1]:
-        return []
+    if below[-1] != rep.order:
+        raise ConstraintViolation(
+            "representation coefficients sum to %d, not its order %d" % (below[-1], rep.order)
+        )
     if len(gens) == 1:
         return [h * gens[0]]
     values: set[int] = set()

@@ -35,13 +35,14 @@ Three layers:
   decrease.  Every hit is re-verified by a full order table, whose
   H_R(1) = v check backs up the pruning and whose decrease backs up the
   count, and then keeps only the Hilbert profile that table proved: the
-  table itself is dropped, not cached on the hit.
+  table itself is dropped, not cached on the hit.  With more than one
+  worker the (e, n_i) cells run in a process pool, which the first such
+  search imports; a serial search never loads it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
@@ -57,6 +58,11 @@ from .errors import (
 from .filtration import hilbert_function
 from .grading import OrderTable, _levels
 from .structure import _FOUR_ZERO, _OFFSET3, check_offset3
+
+# concurrent.futures.ProcessPoolExecutor, imported by the first search that
+# runs more than one worker: its import tree (multiprocessing, pickle,
+# subprocess, ...) would otherwise be most of what ``import numsem`` costs.
+ProcessPoolExecutor = None
 
 __all__ = [
     "ResidueRow",
@@ -444,12 +450,17 @@ def search_decreasing(config: SearchConfig) -> list[NumericalSemigroup]:
     that table's Hilbert profile, which ``hilbert_function`` returns, and
     not the table: any other read builds and caches one on demand, as for a
     fresh semigroup.  An empty list is a valid outcome.
+    The process pool is imported by the first call that runs more than one
+    worker; a serial search never loads it.
     Raises ResourceLimit when e * bound exceeds the window budget.
     """
+    global ProcessPoolExecutor
     tasks = _tasks_for(config)
     # A fork pool starts all of its workers at once, so never ask for more
     # than there are tasks or CPUs.
     workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1 and ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.map(_run_task, tasks, chunksize=8) if pool else map(_run_task, tasks)
         found = {S.gens: S for chunk in chunks for S in chunk}

@@ -174,11 +174,12 @@ def test_usage_error_exit(capsys):
         (["check", "symmetric", "2,3", "--p", "1"], "error: check does not take --p"),
         (["search", "--e-range", "13..13", "--v-offset", "3", "--max-level", "2"],
          "error: search does not take --max-level"),
+        (["strata", "3,5,7", "--max-level"], "error: flag --max-level needs a value"),
     ],
     ids=["check-no-gens", "residue-no-modulus", "search-positional", "format-xml",
          "construct-no-kprime", "search-no-range", "range-form", "gen-bound-form",
          "bad-generator", "apery-max-level", "info-workers", "check-p",
-         "search-max-level"],
+         "search-max-level", "flag-no-value"],
 )
 def test_usage_error_lines(capsys, argv, first_err):
     code, out, err = run(argv, capsys)

@@ -13,7 +13,11 @@ from numsem import (
     NonMinimal,
     NumericalSemigroup,
     ResourceLimit,
+    apery,
     build,
+    contains,
+    frobenius,
+    gaps,
     hilbert_function,
     parse_generators,
 )
@@ -141,6 +145,29 @@ def test_gaps_values(e13):
     assert build([2, 3]).gaps() == {1}
     assert build([3, 4]).gaps() == {1, 2, 5}
     assert len(e13.gaps()) == data.E13_GAP_COUNT
+
+
+def test_module_functions_match_methods(e13):
+    for x in (-5, 0, 31, 57, 10**6):
+        assert contains(e13, x) == e13.contains(x)
+    assert frobenius(e13) == e13.frobenius()
+    assert apery(e13) == e13.apery()
+    assert gaps(e13) == e13.gaps()
+
+
+def test_apery_set_is_a_sized_container(e13):
+    ap = e13.apery()
+    assert len(ap) == e13.e == len(data.E13_APERY)
+    assert all(w in ap for w in data.E13_APERY)
+    assert 0 in ap and e13.frobenius() + e13.e in ap
+    assert 13 not in ap and 31 not in ap
+
+
+def test_equal_generator_sets_hash_alike(e13):
+    again = build(reversed(data.E13))
+    assert again is not e13 and again == e13
+    assert hash(again) == hash(e13)
+    assert len({e13, again, build([2, 3])}) == 2
 
 
 def test_membership_matches_oracle(e13):

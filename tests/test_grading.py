@@ -2,6 +2,7 @@ import pytest
 
 from numsem import (
     BadLevel,
+    ConstraintViolation,
     MaximalRepresentation,
     NotMember,
     apery_strata,
@@ -92,10 +93,11 @@ def test_induced_elements(e13):
 
 
 def test_induced_elements_above_the_coefficient_sum():
-    """A representation whose order exceeds its coefficient sum has no
-    sub-combination of that many generators."""
+    """A hand-built representation whose coefficients do not sum to its
+    order is refused, not read as having no sub-combination."""
     rep = MaximalRepresentation((3, 5), (1, 0), 3, 2)
-    assert induced_elements(rep, 2) == []
+    with pytest.raises(ConstraintViolation, match="sum to 1, not its order 2"):
+        induced_elements(rep, 2)
 
 
 def test_apery_strata_reference(e13):

@@ -1,4 +1,8 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -507,3 +511,33 @@ def test_search_workers_capped_at_cpu_count(monkeypatch):
     serial = search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4, workers=1))
     assert asked == [3]
     assert [S.gens for S in wide] == [S.gens for S in serial]
+
+
+_POOL_ON_DEMAND = """
+import os, sys
+import numsem, numsem.cli
+from numsem import SearchConfig, search_decreasing
+
+assert numsem.cli.main(["info", "13,19,24"]) == 0
+pool_tree = ("concurrent.futures", "multiprocessing")
+assert not [m for m in pool_tree if m in sys.modules], sorted(sys.modules)
+serial = search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4, workers=1))
+assert not [m for m in pool_tree if m in sys.modules]
+pooled = search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4, workers=2))
+assert [S.gens for S in pooled] == [S.gens for S in serial]
+assert len(serial) == 16
+assert ("concurrent.futures" in sys.modules) == ((os.cpu_count() or 1) > 1)
+"""
+
+
+def test_process_pool_loads_on_the_first_parallel_search():
+    """A fresh interpreter imports numsem and its CLI, and runs a CLI read
+    and a serial search, without loading the process pool; a two-worker
+    search then loads it and finds the serial hits."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _POOL_ON_DEMAND],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("generators: 13,19,24\n")
