@@ -100,6 +100,23 @@ def largest_missing(bits: int, limit: int) -> int:
     return comp.bit_length() - 1
 
 
+def fold_classes(bits: int, e: int) -> int:
+    """The residues mod e of the members of ``bits``, as a set of [0, e).
+
+    Two members of one class leave one bit, so the count falls short of
+    ``bits.bit_count()`` exactly when some class holds two.  The window of
+    L blocks of e bits is cut after ceil(L/2) blocks and its top OR-ed onto
+    its bottom until one block is left: O(log L) whole-int steps on a
+    shrinking int.
+    """
+    width = bits.bit_length()
+    while width > e:
+        half = -(-width // (2 * e)) * e
+        bits = bits & ((1 << half) - 1) | bits >> half
+        width = half
+    return bits
+
+
 def class_table(column: int, e: int) -> array:
     """The element of each class mod e of ``column``, which holds at most one
     per class, indexed by class and packed 8 bytes a class; an empty class reads 0."""

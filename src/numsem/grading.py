@@ -15,25 +15,31 @@ filtration; Cortadellas Benitez and Zarzuela Armengou, J. Algebra 328,
 h < k, which gives D_k, D_k^t and the Apery strata.  ``order_table`` keeps
 it on the semigroup; ``order_of`` is a lookup in it.
 
-Two fills produce the same table.  The bitset fill sweeps the levels hM as
-whole-window bitsets, three at a time; its windows span about f + r*e bits.
-The min-plus fill derives each column from the one before with no window,
-in v passes over the e classes a level.  The table takes the min-plus fill
-when the window f + e is more than ``_MIN_PLUS_ABOVE`` times e * v (the
-two-generator ladders, whose windows are about e**2 bits), and the bitset
-fill otherwise; each is the other's differential twin in the tests.
+Two fills produce the same table, both on columns packed as one int with a
+64-bit field per class.  The bitset fill sweeps the levels hM as
+whole-window bitsets, three at a time; its windows span about f + r*e bits,
+and a column moves by e in the classes that its level's stratum, folded
+mod e, meets.  The min-plus fill derives each column from the one before
+with no window: a level is v - 1 rotations of it and field-wise mins, each
+a whole-int operation.  No field overflows or borrows into the next, as
+``ResourceLimit`` keeps every column entry far below 2**62.  The table
+takes the min-plus fill when the window f + e is more than
+``_MIN_PLUS_ABOVE`` times e * v (the two-generator ladders, whose windows
+are about e**2 bits, and other very sparse semigroups), and the bitset fill
+otherwise; each is the other's differential twin in the tests.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
-from operator import add, gt, itemgetter, sub
+from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Iterator
 
-from ._bitset import bits_to_tuple, closure_bits, shift_sum, window_mask
+from ._bitset import bits_to_tuple, closure_bits, fold_classes, shift_sum, window_mask
 from .core import NumericalSemigroup
 from .errors import BadLevel, ConstraintViolation, InternalInconsistency, NotMember
 
@@ -88,43 +94,87 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
 
 
 # OrderTable takes the min-plus fill when the window f + e is more than this
-# many times e * v.  Timed fill against fill on 400 semigroups (e = 5..160,
-# v = 2..14), the bitset fill is faster below a ratio of about 28 (4 times
-# below 1) and the min-plus fill above about 32 (1.1-1.3 times at 32-64).
-_MIN_PLUS_ABOVE = 32
+# many times e * v.  Each fill timed alone (best of 5, of 3 from e = 200 on;
+# Python 3.11, x86) on 5,112 semigroups, the two deck corpora of perfbench seeds 1-2, 300 random
+# draws with e = 5..160, 300 sparse ones (one or two generators from
+# (e, 3e]), 60 at e = 200 and 400 as in perfbench's wide workload and four
+# ladders; the median min-plus time over the bitset time, by ratio
+# (f + e) / (e * v):
+#
+#   ratio <= 1     2     3     4     5     6     7     8     10    12
+#   time     2.40  1.85  1.64  1.52  1.43  1.37  1.35  1.30  1.26  1.26
+#   ratio <= 16    20    24    28    32    40    48    64    more
+#   time     1.25  1.12  1.00  0.93  0.81  0.71  0.63  0.58  0.45
+_MIN_PLUS_ABOVE = 24
+
+
+# _FIELDS[b] is the byte b as eight 64-bit fields, bit i of b in field i.
+_FIELDS = [b"".join((b >> i & 1).to_bytes(8, "little") for i in range(8)) for b in range(256)]
+
+
+def _pack(column: array) -> int:
+    """A column as one int with a 64-bit field a class: class c in bits
+    64c..64c+63."""
+    if sys.byteorder == "big":
+        column = array("q", column)
+        column.byteswap()
+    return int.from_bytes(column.tobytes(), "little")
+
+
+def _unpack(packed: int, e: int) -> array:
+    """The column that ``_pack`` made ``packed``."""
+    words = array("q", packed.to_bytes(8 * e, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    # A slice copy is exact-size; the array frombytes filled keeps about
+    # 6 % spare room, and every column lives as long as the table.
+    return words[:]
+
+
+def _fields(classes: int, e: int) -> int:
+    """The set ``classes`` of [0, e) packed as a column: 1 in the field of
+    each class in it, 0 in the others."""
+    return int.from_bytes(
+        b"".join(map(_FIELDS.__getitem__, classes.to_bytes((e + 7) // 8, "little"))), "little"
+    )
 
 
 def _bitset_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]:
     """The columns for levels 0..r, H(0..r) and C_1..C_r from the level sweep.
 
     Each level n is read off its stratum nM minus (n+1)M: H(n) is its size
-    and C_n its elements outside (n-1)M + e.  Column n is the entry of
-    column n - 1 where nM holds it and that entry plus e elsewhere; it is
-    derived on reaching level n, from the nM that level n - 1 handed over as
-    its upper set, so the stop test of ``_levels`` is the only one and no
-    column is kept past r.  The e memberships come out of one byte string of
-    nM, so a column costs O(e) lookups, not a scan of its window.
+    and C_n its elements outside (n-1)M + e.  Column n is column n - 1 plus
+    e in the classes the stratum of level n - 1 meets: its element x in
+    class c is the entry of column n - 1 there, as every larger member of
+    the class is in (n-1)M + e, inside nM.  So a class holds at most one
+    element of each order, and the fill checks that the stratum meets as
+    many classes as it has elements.  The stratum is folded onto its classes
+    and the column moved in whole-int steps, on the column packed as in
+    ``_min_plus_fill``; no Python step is taken per class.  A column is
+    derived on reaching its level, so the stop test of ``_levels`` is the
+    only one and no column is kept past r.
     """
     e = S.e
     columns: list[array] = [S._ap_class]
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    below = level = 0
+    column = _pack(S._ap_class)
+    below = stratum = 0
     for n, here, above in _levels(S.gens, S.f):
         if n:
-            buf = level.to_bytes(level.bit_length() // 8 + 1, "little")
-            step = [w if buf[w >> 3] >> (w & 7) & 1 else w + e for w in columns[n - 1]]
-            # Free the window-sized copy before packing the column, which
-            # lives on: packed above it, each column pins a hole that the
-            # next, wider windows cannot reuse (<1000, 1001> peaked at
-            # 66 MB RSS that way, against 30 MB).
-            del buf
-            columns.append(array("q", step))
+            leave = fold_classes(stratum, e)
+            if leave.bit_count() != values[n - 1]:
+                raise InternalInconsistency(
+                    "%d classes leave level %d, which holds %d elements"
+                    % (leave.bit_count(), n - 1, values[n - 1])
+                )
+            column += e * _fields(leave, e)
+            columns.append(_unpack(column, e))
         stratum = here & ~above
         values.append(stratum.bit_count())
         if n:
             c_sets[n] = bits_to_tuple(stratum & ~(below << e))
-        below, level = here, above
+        below = here
     return columns, values, c_sets
 
 
@@ -133,52 +183,64 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]
 
     (n+1)M is the union of g + nM over the generators g, so column n + 1 is
     the min over g of column n shifted by g: class c takes
-    ``columns[n][(c - g) % e] + g``, and g = e adds e in place.  A level is
-    v passes over e classes.  Each class moves by 0 or e, as nM + e is
-    inside (n+1)M, itself inside nM, and a class of nM is an upward-closed
-    progression from its column entry.  So H(n) is the number of classes
-    that move, level n is stable ((n+1)M = nM + e) when all of them do, and
-    x = columns[n][c] is in C_n when its class moves at n but not at n - 1,
-    which is x - e < columns[n-1][c].  A move of any other size raises, and
-    so does a sweep past level e - 1, as in ``_levels``.
+    ``columns[n][(c - g) % e] + g``, and g = e adds e in place.  Each class
+    moves by 0 or e, as nM + e is inside (n+1)M, itself inside nM, and a
+    class of nM is an upward-closed progression from its column entry.  So
+    H(n) is the number of classes that move, level n is stable
+    ((n+1)M = nM + e) when all of them do, and x = columns[n][c] is in C_n
+    when its class moves at n but not at n - 1.  A move of any other size
+    raises, and so does a sweep past level e - 1, as in ``_levels``.
+
+    The recurrence runs on whole columns, each one int with a 64-bit field
+    a class (class c in bits 64c..64c+63): a shift by g is a rotation of the
+    fields by g mod e plus g in every field, and the min of two columns is
+    one borrow test of all fields at once.  No field overflows or borrows
+    into the next: ``ResourceLimit`` keeps e * max(gens) <= 2**24, so every
+    entry, at most (e-1) * max(gens) + e * e plus a generator, stays far
+    below 2**62, and a field with its top bit set minus another field never
+    goes below 0.
     """
     e, gens = S.e, S.gens
     hard_stop = max(1, e - 1)
+    mask = (1 << 64 * e) - 1
+    ones = mask // 0xFFFF_FFFF_FFFF_FFFF  # 1 in every field
+    high = ones << 63  # the top bit of every field
+    # Column n shifted by g is its rotation left by g mod e fields, plus g.
+    shifts = [(64 * (g % e), 64 * (e - g % e), g * ones) for g in gens[1:]]
     columns: list[array] = [S._ap_class]
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    column, moved = S._ap_class.tolist(), None
+    column, before = _pack(S._ap_class), 0
     n = 0
     while True:
-        # The g = e term rides on the pass of the largest generator; for
-        # N = <1> that generator is e itself, a shift by 0.
-        g = gens[-1]
-        s = g % e
-        step = [
-            a + e if a + e <= b + g else b + g
-            for a, b in zip(column, column[-s:] + column[:-s])
-        ]
-        for g in gens[1:-1]:
-            s = g % e
-            shifted = map(add, column[-s:] + column[:-s], repeat(g))
-            step = [a if a <= b else b for a, b in zip(step, shifted)]
-        moves = list(map(sub, step, column))
-        h = moves.count(e)
-        if h + moves.count(0) != e:
+        step = column + e * ones
+        for left, right, plus in shifts:
+            b = ((column << left) & mask | column >> right) + plus
+            # The top bit of a field survives the subtraction iff step >= b there.
+            t = ((step | high) - b) & high
+            step ^= (step ^ b) & ((t >> 63) * 0xFFFF_FFFF_FFFF_FFFF)
+        # A field of step below that of column clears its top bit here.
+        moves = (step | high) - column
+        down = moves & high != high
+        moves ^= high
+        now = (((moves | high) - ones) & high) >> 63  # bit 64c: class c moves
+        if down or moves != now * e:
             raise InternalInconsistency(
                 "a class moves by other than 0 or e = %d from level %d" % (e, n)
             )
+        h = now.bit_count()
         values.append(h)
         if n:
-            c_sets[n] = tuple(sorted(compress(column, map(gt, moves, moved))))
+            here = columns[n]
+            c_sets[n] = tuple(sorted(here[p >> 6] for p in bits_to_tuple(now & ~before)))
             if h == e:
                 return columns, values, c_sets
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
             )
-        columns.append(array("q", step))
-        column, moved = step, moves
+        columns.append(_unpack(step, e))
+        column, before = step, now
         n += 1
 
 
@@ -266,10 +328,9 @@ class OrderTable:
     and column h - 1 does not.  Every y in D_h lands so in C_t,
     t = ord(y + e) > h, so this yields D_h, D_h^t and the Apery strata; an
     x that fits neither raises.  A class holds at most one element of each
-    order, so the column sums grow by e * H(n) from level n to n + 1; the
-    table checks that identity, which checks the bitset fill.  The min-plus
-    fill checks each move against {0, e} itself, as there the sums agree by
-    construction.
+    order, so the column sums grow by e * H(n) from level n to n + 1.  The
+    bitset fill checks that each stratum meets as many classes as it has
+    elements, the min-plus fill each move against {0, e}; either implies it.
     """
 
     __slots__ = ("e", "columns", "stable_from", "hilbert", "tables", "apery_strata")
@@ -319,13 +380,6 @@ class OrderTable:
         if sum(len(v) for v in strata.values()) + 1 != e:
             raise InternalInconsistency("Apery strata sizes do not sum to e")
         profile = (1,) + tuple(len(strata[k]) for k in range(1, d + 1))
-        sums = [sum(column) for column in columns]
-        for n in range(r):
-            if sums[n + 1] - sums[n] != e * values[n]:
-                raise InternalInconsistency(
-                    "%d classes leave level %d, which holds %d elements"
-                    % ((sums[n + 1] - sums[n]) // e, n, values[n])
-                )
         # M \ 2M is the minimal generating set, so a non-minimal S fails here.
         if values[1] != S.v:
             raise InternalInconsistency("H_R(1) = %d != v = %d" % (values[1], S.v))

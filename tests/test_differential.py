@@ -12,7 +12,7 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from numsem import (
@@ -34,7 +34,7 @@ from numsem import (
     support_size,
 )
 from numsem import core, filtration, grading, search
-from numsem._bitset import add_generator, bits_to_tuple, closure_bits
+from numsem._bitset import add_generator, bits_to_tuple, closure_bits, fold_classes
 from numsem.corpus import minimalize
 
 import data
@@ -191,6 +191,8 @@ FILLS = {"bitset": 1 << 62, "min_plus": -1}
 @pytest.mark.parametrize("fill", FILLS)
 @settings(max_examples=60, deadline=None)
 @given(S=small_semigroups())
+@example(S=build([1]))
+@example(S=build([2, 3]))
 def test_both_fills_match_oracles(fill, check, S):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grading, "_MIN_PLUS_ABOVE", FILLS[fill])
@@ -249,7 +251,19 @@ def _table_fields(gens):
 
 
 @pytest.mark.parametrize(
-    "gens", [(100, 101), (200, 201), (99, 101), (80, 81, 82), (150, 151, 157)]
+    "gens",
+    [
+        (100, 101),
+        (200, 201),
+        (400, 401),
+        (99, 101),
+        (80, 81, 82),
+        (150, 151, 157),
+        (70, 79, 83),  # window 5.7 times e * v
+        (78, 79, 311),  # window 20.9 times e * v, just below the threshold
+        # A perfbench wide draw whose bitset fill sweeps 169 levels.
+        (400, 403, 907, 959, 975, 1087, 1392, 1816, 2093, 2335),
+    ],
 )
 def test_fills_agree_on_wide_ladders(monkeypatch, gens):
     """The min-plus fill against its twin, the bitset fill, where the oracles
@@ -258,6 +272,30 @@ def test_fills_agree_on_wide_ladders(monkeypatch, gens):
     for fill, above in FILLS.items():
         monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
         assert _table_fields(gens) == want, fill
+
+
+@st.composite
+def mid_window_semigroups(draw):
+    """Generators in (e, 2e), so all minimal, with a window f + e of 2 to 40
+    times e * v: the band around the threshold between the two fills."""
+    e = draw(st.integers(min_value=5, max_value=60))
+    above = draw(st.sets(st.integers(min_value=e + 1, max_value=2 * e - 1), min_size=1, max_size=4))
+    S = build(sorted({e, *above} if math.gcd(e, *above) == 1 else {e, e + 1, *above}))
+    assume(2 <= (S.f + e) / (e * S.v) <= 40)
+    return S
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=mid_window_semigroups())
+def test_fills_agree_around_the_threshold(S):
+    """The two fills, field for field, on windows whose width decides
+    between them."""
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        for above in FILLS.values():
+            patch.setattr(grading, "_MIN_PLUS_ABOVE", above)
+            tables.append(_table_fields(S.gens))
+    assert tables[0] == tables[1]
 
 
 def naive_bit_scan(bits):
@@ -308,6 +346,23 @@ def test_bits_to_tuple_round_trip_sparse(positions):
     for x in positions:
         bits |= 1 << x
     assert bits_to_tuple(bits) == tuple(sorted(set(positions)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=70),
+    st.lists(st.integers(min_value=0, max_value=5_000), max_size=40),
+)
+@example(1, [0, 1, 2])
+@example(64, [63, 64, 128, 4095])
+@example(13, [])
+def test_fold_classes_matches_residues(e, positions):
+    bits = 0
+    for x in positions:
+        bits |= 1 << x
+    folded = fold_classes(bits, e)
+    assert folded == sum(1 << c for c in {x % e for x in positions})
+    assert folded.bit_length() <= e
 
 
 @settings(max_examples=200, deadline=None)
@@ -463,6 +518,24 @@ def _feed(change):
     return fixture
 
 
+def _refill(change):
+    """Let ``change(columns, values, c_sets)`` edit, in place, what the
+    bitset fill hands the table of E13."""
+
+    def fixture(monkeypatch):
+        real = grading._bitset_fill
+
+        def fill(S):
+            out = real(S)
+            change(*out)
+            return out
+
+        monkeypatch.setattr(grading, "_bitset_fill", fill)
+        return lambda: hilbert_function(build(list(data.E13)))
+
+    return fixture
+
+
 def _drop_c2(monkeypatch):
     real = filtration.strata_tables
     monkeypatch.setattr(
@@ -485,6 +558,32 @@ def _min_plus_jump(monkeypatch):
         return hilbert_function(S)
 
     return run
+
+
+def _min_plus_between(monkeypatch):
+    """The min-plus fill on E13 with the Apery element 43 = 19 + 24 lowered
+    to 42: column 1 still reaches 43, so its class moves by 1 from level 0,
+    and no class moves down."""
+    monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", -1)
+
+    def run():
+        S = build(list(data.E13))
+        S._ap_class[43 % 13] -= 1
+        return hilbert_function(S)
+
+    return run
+
+
+def _min_plus_stall(monkeypatch):
+    """The min-plus fill on <2, 3> through the private entry, its generators
+    given as (3, 2): 3 is taken for e, the Apery table is [0, 4, 2], and the
+    shift by 2 < e holds some class in place at every level, so every move
+    is 0 or e but level e - 1 = 2 is not stable."""
+    monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", -1)
+    gens = (3, 2)
+    return lambda: hilbert_function(
+        core.NumericalSemigroup._from_closure(gens, closure_bits(gens, 6), 6)
+    )
 
 
 def _non_minimal_entry(monkeypatch):
@@ -536,8 +635,8 @@ def _wrong_dimension_hit(monkeypatch):
     "corrupt, message",
     [
         (_stall, "did not stabilize"),
-        # ne leaves stratum n at every n >= 1, so H_R(r) = e - 1.
-        (_feed(lambda n, here, above: above | (here & -here) if n else above), "H_R"),
+        # H_R(r) = e - 1 at the level r = 5 where E13 is stable.
+        (_refill(lambda columns, values, c_sets: values.__setitem__(5, 12)), "H_R"),
         # The Apery element 19 of E13 never gets an order.
         (_feed(lambda n, here, above: above | (1 << 19) if n == 1 else above), "Apery strata"),
         # 2e = 26 leaves 2M, so stratum 1 of E13 holds two elements of class 0,
@@ -546,13 +645,15 @@ def _wrong_dimension_hit(monkeypatch):
             _feed(lambda n, here, above: above & ~(1 << 26) if n == 1 else above),
             "classes leave level",
         ),
-        # 57 = 44 + e, a landing in C_3, leaves the 3M the table sees, so
-        # column 3 of its class moves on to 70 while C_3 still holds 57.
+        # 57 = 44 + e, a landing in C_3: column 3 of its class 5 moves on
+        # to 70 while C_3 still holds 57.
         (
-            _feed(lambda n, here, above: above & ~(1 << 57) if n == 2 else above),
+            _refill(lambda columns, values, c_sets: columns[3].__setitem__(5, 70)),
             "not a landing",
         ),
         (_min_plus_jump, "moves by other than 0 or e"),
+        (_min_plus_between, "moves by other than 0 or e"),
+        (_min_plus_stall, "did not stabilize by level 2"),
         (_drop_c2, "delta mismatch"),
         (_accept_every_leaf, "re-verification"),
         (_corrupt_hit_proof, "Apery strata|not a landing"),
@@ -567,6 +668,8 @@ def _wrong_dimension_hit(monkeypatch):
         "class_moves",
         "landing",
         "min_plus_moves",
+        "min_plus_between",
+        "min_plus_stabilization",
         "delta_audit",
         "search_reverify",
         "search_proof_table",
