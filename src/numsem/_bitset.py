@@ -119,8 +119,9 @@ def fold_classes(bits: int, e: int) -> int:
 
 def class_table(column: int, e: int) -> array:
     """The element of each class mod e of ``column``, which holds at most one
-    per class, indexed by class and packed 8 bytes a class; an empty class reads 0."""
-    table = array("q", bytes(8 * e))
+    per class, indexed by class and packed 4 bytes a class (``ResourceLimit``
+    keeps every Apery element below 2**25); an empty class reads 0."""
+    table = array("i", bytes(4 * e))
     for w in bits_to_tuple(column):
         table[w % e] = w
     return table

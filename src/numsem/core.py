@@ -51,7 +51,7 @@ __all__ = [
 # max(e, 2) * max(gens) bounds every window the package allocates: the
 # construction closure, at most max(e-1, 2) * max(gens) bits, is dropped once
 # the Apery table is read off it; the level sweep's windows are at most e**2
-# bits wider, and its cached Apery columns take at most 8 * e**2 bytes.
+# bits wider, and its cached Apery columns take at most 4 * e**2 bytes.
 _WINDOW_BUDGET = 1 << 24
 
 

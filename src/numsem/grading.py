@@ -16,13 +16,14 @@ h < k, which gives D_k, D_k^t and the Apery strata.  ``order_table`` keeps
 it on the semigroup; ``order_of`` is a lookup in it.
 
 Two fills produce the same table, both on columns packed as one int with a
-64-bit field per class.  The bitset fill sweeps the levels hM as
+32-bit field per class.  The bitset fill sweeps the levels hM as
 whole-window bitsets, three at a time; its windows span about f + r*e bits,
 and a column moves by e in the classes that its level's stratum, folded
 mod e, meets.  The min-plus fill derives each column from the one before
 with no window: a level is v - 1 rotations of it and field-wise mins, each
 a whole-int operation.  No field overflows or borrows into the next, as
-``ResourceLimit`` keeps every column entry far below 2**62.  The table
+``ResourceLimit`` keeps every column entry below 2**25 and every min-plus
+candidate below 2**26, far below the top bit 2**31 of a field.  The table
 takes the min-plus fill when the window f + e is more than
 ``_MIN_PLUS_ABOVE`` times e * v (the two-generator ladders, whose windows
 are about e**2 bits, and other very sparse semigroups), and the bitset fill
@@ -108,22 +109,22 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
 _MIN_PLUS_ABOVE = 24
 
 
-# _FIELDS[b] is the byte b as eight 64-bit fields, bit i of b in field i.
-_FIELDS = [b"".join((b >> i & 1).to_bytes(8, "little") for i in range(8)) for b in range(256)]
+# _FIELDS[b] is the byte b as eight 32-bit fields, bit i of b in field i.
+_FIELDS = [b"".join((b >> i & 1).to_bytes(4, "little") for i in range(8)) for b in range(256)]
 
 
 def _pack(column: array) -> int:
-    """A column as one int with a 64-bit field a class: class c in bits
-    64c..64c+63."""
+    """A column as one int with a 32-bit field a class: class c in bits
+    32c..32c+31."""
     if sys.byteorder == "big":
-        column = array("q", column)
+        column = array("i", column)
         column.byteswap()
     return int.from_bytes(column.tobytes(), "little")
 
 
 def _unpack(packed: int, e: int) -> array:
     """The column that ``_pack`` made ``packed``."""
-    words = array("q", packed.to_bytes(8 * e, "little"))
+    words = array("i", packed.to_bytes(4 * e, "little"))
     if sys.byteorder == "big":
         words.byteswap()
     # A slice copy is exact-size; the array frombytes filled keeps about
@@ -191,22 +192,23 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]
     when its class moves at n but not at n - 1.  A move of any other size
     raises, and so does a sweep past level e - 1, as in ``_levels``.
 
-    The recurrence runs on whole columns, each one int with a 64-bit field
-    a class (class c in bits 64c..64c+63): a shift by g is a rotation of the
+    The recurrence runs on whole columns, each one int with a 32-bit field
+    a class (class c in bits 32c..32c+31): a shift by g is a rotation of the
     fields by g mod e plus g in every field, and the min of two columns is
     one borrow test of all fields at once.  No field overflows or borrows
-    into the next: ``ResourceLimit`` keeps e * max(gens) <= 2**24, so every
-    entry, at most (e-1) * max(gens) + e * e plus a generator, stays far
-    below 2**62, and a field with its top bit set minus another field never
-    goes below 0.
+    into the next: ``ResourceLimit`` keeps e * max(gens) <= 2**24, so an
+    Apery element is at most (e-1) * max(gens) + 1 <= 2**24, a column entry
+    at most that plus (e-1) * e < 2**25, and a candidate at most that plus a
+    generator < 2**26, below the top bit 2**31 of a field; a field with its
+    top bit set minus another field never goes below 0.
     """
     e, gens = S.e, S.gens
     hard_stop = max(1, e - 1)
-    mask = (1 << 64 * e) - 1
-    ones = mask // 0xFFFF_FFFF_FFFF_FFFF  # 1 in every field
-    high = ones << 63  # the top bit of every field
+    mask = (1 << 32 * e) - 1
+    ones = mask // 0xFFFF_FFFF  # 1 in every field
+    high = ones << 31  # the top bit of every field
     # Column n shifted by g is its rotation left by g mod e fields, plus g.
-    shifts = [(64 * (g % e), 64 * (e - g % e), g * ones) for g in gens[1:]]
+    shifts = [(32 * (g % e), 32 * (e - g % e), g * ones) for g in gens[1:]]
     columns: list[array] = [S._ap_class]
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
@@ -218,12 +220,12 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]
             b = ((column << left) & mask | column >> right) + plus
             # The top bit of a field survives the subtraction iff step >= b there.
             t = ((step | high) - b) & high
-            step ^= (step ^ b) & ((t >> 63) * 0xFFFF_FFFF_FFFF_FFFF)
+            step ^= (step ^ b) & ((t >> 31) * 0xFFFF_FFFF)
         # A field of step below that of column clears its top bit here.
         moves = (step | high) - column
         down = moves & high != high
         moves ^= high
-        now = (((moves | high) - ones) & high) >> 63  # bit 64c: class c moves
+        now = (((moves | high) - ones) & high) >> 31  # bit 32c: class c moves
         if down or moves != now * e:
             raise InternalInconsistency(
                 "a class moves by other than 0 or e = %d from level %d" % (e, n)
@@ -232,7 +234,7 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]
         values.append(h)
         if n:
             here = columns[n]
-            c_sets[n] = tuple(sorted(here[p >> 6] for p in bits_to_tuple(now & ~before)))
+            c_sets[n] = tuple(sorted(here[p >> 5] for p in bits_to_tuple(now & ~before)))
             if h == e:
                 return columns, values, c_sets
         if n == hard_stop:
@@ -311,7 +313,7 @@ class OrderTable:
     """What one fill of the order filtration of S records.
 
     ``columns[h][c]`` is the smallest element of hM in residue class c mod e,
-    for h = 0 .. ``stable_from``, packed 8 bytes a class; column 0 is the
+    for h = 0 .. ``stable_from``, packed 4 bytes a class; column 0 is the
     Apery table S keeps.  Since nM + e is inside (n+1)M, itself inside nM,
     ``columns[n+1][c]`` is ``columns[n][c]`` or ``columns[n][c] + e``, and
     H(n) counts the classes that move.  ``hilbert``, ``tables`` and

@@ -10,6 +10,7 @@ instances.
 import dataclasses
 import math
 import time
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,7 @@ from numsem import (
     apery_strata,
     audit_delta,
     build,
+    classify_c3,
     hilbert_function,
     induced_elements,
     is_symmetric,
@@ -33,7 +35,7 @@ from numsem import (
     strata_tables,
     support_size,
 )
-from numsem import core, filtration, grading, search
+from numsem import core, filtration, grading, search, structure
 from numsem._bitset import add_generator, bits_to_tuple, closure_bits, fold_classes
 from numsem.corpus import minimalize
 
@@ -295,6 +297,29 @@ def test_fills_agree_around_the_threshold(S):
         for above in FILLS.values():
             patch.setattr(grading, "_MIN_PLUS_ABOVE", above)
             tables.append(_table_fields(S.gens))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("gens", [(2, 8388607), (3, 5592404)])
+def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
+    """Both fills pack a column in 32-bit fields, and the table keeps it as
+    an ``array("i")``.  Under the window budget B >= e * max(gens), an Apery
+    element is at most (e-1) * max(gens) + 1 <= B, a column entry at most
+    that plus (e-1) * e, itself below B, and a min-plus candidate at most
+    that plus a generator <= B, so every field stays below 3B; that must
+    leave the top bit 2**31 of a field clear.  A larger budget fails here
+    until the width is re-derived.  Then both fills, field for field, at
+    the budget's edge: e * max(gens) is 2**24 - 2 and 2**24 - 4."""
+    assert array("i").itemsize == 4
+    budget = core._WINDOW_BUDGET
+    assert 3 * budget < 2**31
+    a, b = gens
+    assert a * b <= budget and math.gcd(a, b) == 1
+    assert build([a, b]).f == a * b - a - b
+    tables = []
+    for above in FILLS.values():
+        monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
+        tables.append(_table_fields(gens))
     assert tables[0] == tables[1]
 
 
@@ -631,6 +656,21 @@ def _wrong_dimension_hit(monkeypatch):
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 
+def _order_one_too_high(monkeypatch):
+    """The descent of E13's element 57 = 19 + 19 + 19 asked for a coefficient
+    sum of ord(57) + 1 = 4, which no representation of 57 has."""
+    real = grading.order_of
+    monkeypatch.setattr(grading, "order_of", lambda S, s: real(S, s) + 1)
+    return lambda: maximal_representations(build(list(data.E13)), 57)
+
+
+def _no_c3_witness(monkeypatch):
+    """E13 has |Ap_2| = 3 and |C_3| = 4, so classify_c3 needs the witness
+    pair (19, 24) of C_2; here none is found."""
+    monkeypatch.setattr(structure, "_pair", lambda ap1, two: None)
+    return lambda: classify_c3(build(list(data.E13)))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -660,6 +700,8 @@ def _wrong_dimension_hit(monkeypatch):
         (_flagged_leaf_without_decrease, "fails re-verification"),
         (_wrong_dimension_hit, r"embedding dimension 10, not e - 4 = 9"),
         (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
+        (_order_one_too_high, "no representation of 57 at order 4"),
+        (_no_c3_witness, "no witness pair"),
     ],
     ids=[
         "stabilization",
@@ -676,6 +718,8 @@ def _wrong_dimension_hit(monkeypatch):
         "search_flagged_leaf",
         "search_dimension",
         "embedding_dimension",
+        "maximal_representation",
+        "c3_witness",
     ],
 )
 def test_internal_checks_raise(monkeypatch, corrupt, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -140,6 +141,30 @@ def test_sp_parameter_recovery_round_trip():
 def test_sp_recovery_rejects_outsiders(e13):
     assert recover_sp_parameters(build([2, 3])) is None
     assert recover_sp_parameters(build(list(data.CHAIN_E17))) is None
+    # e = 13 and v = 10, but consecutive generators: no offset-3 pattern.
+    assert recover_sp_parameters(build(list(range(13, 23)))) is None
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # Classes 6 and 5 of E13's generators: neither is 4 times the other.
+        (19, 44),
+        # Classes 6 and 11 = 4 * 6, but k' = (63 - 24) / 13 = 3 > 4k - 2 = 2:
+        # SpParameters raises ConstraintViolation, read as not a member.
+        (19, 63),
+    ],
+    ids=["no_ratio_4", "constraint_violation"],
+)
+def test_sp_recovery_rejects_witness_pairs_outside_the_family(monkeypatch, e13, pair):
+    """The pair the offset-3 detector names must have class ratio 4 and
+    parameters inside the family's inequalities; every family member meets
+    both, so the detector's verdict on E13 is replaced by one naming the pair."""
+    verdict = check_offset3(e13)
+    monkeypatch.setattr(
+        search, "check_offset3", lambda S: dataclasses.replace(verdict, witnesses=(pair,))
+    )
+    assert recover_sp_parameters(e13) is None
 
 
 def test_search_config_validation():
