@@ -8,26 +8,32 @@ hM = {s : ord(s) >= h} form the order filtration.
 One fill per semigroup records the filtration up to the first level r with
 (r+1)M = rM + e.  From that level on, adding the multiplicity is a
 bijection between consecutive strata, so the fill has seen all there is.
-It records the Hilbert function, the sets C_k and the smallest element of
-hM in each residue class mod e for h <= r (the Apery table of the
-filtration; Cortadellas Benitez and Zarzuela Armengou, J. Algebra 328,
-2011); C_k is the order-k Apery elements plus the landings D_h^k + e,
-h < k, which gives D_k, D_k^t and the Apery strata.  ``order_table`` keeps
-it on the semigroup; ``order_of`` is a lookup in it.
+It records the Hilbert function, the sets C_k and, at each level h <= r,
+the classes mod e that stall there.  The smallest element of hM in a class
+moves by e a level from the order of the class's Apery element on, except
+through one run of levels h..t-1 for each y of the class in D_h^t (y has
+order h - 1 and y + e order t).  C_k is the order-k Apery elements plus
+the landings D_h^k + e, h < k, which gives D_k, D_k^t and the Apery
+strata; per class, the first move and the stall runs are the Apery table
+of the filtration (Cortadellas Benitez and Zarzuela Armengou, J. Algebra
+328, 2011).  ``order_table`` keeps them on the semigroup; ``order_of`` is a
+lookup in them.
 
-Two fills produce the same table, both on columns packed as one int with a
-32-bit field per class.  The bitset fill sweeps the levels hM as
-whole-window bitsets, three at a time; its windows span about f + r*e bits,
-and a column moves by e in the classes that its level's stratum, folded
-mod e, meets.  The min-plus fill derives each column from the one before
-with no window: a level is v - 1 rotations of it and field-wise mins, each
-a whole-int operation.  No field overflows or borrows into the next, as
-``ResourceLimit`` keeps every column entry below 2**25 and every min-plus
-candidate below 2**26, far below the top bit 2**31 of a field.  The table
-takes the min-plus fill when the window f + e is more than
-``_MIN_PLUS_ABOVE`` times e * v (the two-generator ladders, whose windows
-are about e**2 bits, and other very sparse semigroups), and the bitset fill
-otherwise; each is the other's differential twin in the tests.
+Two fills produce the same record, and neither keeps a level's column of
+smallest elements past that level.  The bitset fill sweeps the levels hM
+as whole-window bitsets, three at a time; its windows span about f + r*e
+bits, and the classes that move at a level are its stratum folded mod e.
+The min-plus fill derives each column from the one before with no window,
+on the column packed as one int with a 32-bit field per class: a level is
+v - 1 rotations of it and field-wise mins, each a whole-int operation, and
+the classes that move are the fields that grow.  No field overflows or
+borrows into the next, as ``ResourceLimit`` keeps every column entry below
+2**25 and every min-plus candidate below 2**26, far below the top bit
+2**31 of a field.  The table takes the min-plus fill when the window f + e
+is more than ``_MIN_PLUS_ABOVE`` times e * v (the two-generator ladders,
+whose windows are about e**2 bits, and other very sparse semigroups), and
+the bitset fill otherwise; each is the other's differential twin in the
+tests.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import itemgetter
 from typing import Iterator
 
 from ._bitset import bits_to_tuple, closure_bits, fold_classes, shift_sum, window_mask
@@ -109,10 +114,6 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
 _MIN_PLUS_ABOVE = 24
 
 
-# _FIELDS[b] is the byte b as eight 32-bit fields, bit i of b in field i.
-_FIELDS = [b"".join((b >> i & 1).to_bytes(4, "little") for i in range(8)) for b in range(256)]
-
-
 def _pack(column: array) -> int:
     """A column as one int with a 32-bit field a class: class c in bits
     32c..32c+31."""
@@ -122,75 +123,59 @@ def _pack(column: array) -> int:
     return int.from_bytes(column.tobytes(), "little")
 
 
-def _unpack(packed: int, e: int) -> array:
-    """The column that ``_pack`` made ``packed``."""
-    words = array("i", packed.to_bytes(4 * e, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    # A slice copy is exact-size; the array frombytes filled keeps about
-    # 6 % spare room, and every column lives as long as the table.
-    return words[:]
-
-
-def _fields(classes: int, e: int) -> int:
-    """The set ``classes`` of [0, e) packed as a column: 1 in the field of
-    each class in it, 0 in the others."""
-    return int.from_bytes(
-        b"".join(map(_FIELDS.__getitem__, classes.to_bytes((e + 7) // 8, "little"))), "little"
-    )
-
-
-def _bitset_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]:
-    """The columns for levels 0..r, H(0..r) and C_1..C_r from the level sweep.
+def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
+    """The stalls at levels 0..r, H(0..r) and C_1..C_r from the level sweep.
 
     Each level n is read off its stratum nM minus (n+1)M: H(n) is its size
-    and C_n its elements outside (n-1)M + e.  Column n is column n - 1 plus
-    e in the classes the stratum of level n - 1 meets: its element x in
-    class c is the entry of column n - 1 there, as every larger member of
-    the class is in (n-1)M + e, inside nM.  So a class holds at most one
+    and C_n its elements outside (n-1)M + e.  The smallest element of nM in
+    a class moves by e at level n iff the stratum meets the class: its
+    element x there is that smallest one, as every larger member of the
+    class is in (n-1)M + e, inside nM.  So a class holds at most one
     element of each order, and the fill checks that the stratum meets as
     many classes as it has elements.  The stratum is folded onto its classes
-    and the column moved in whole-int steps, on the column packed as in
-    ``_min_plus_fill``; no Python step is taken per class.  A column is
-    derived on reaching its level, so the stop test of ``_levels`` is the
-    only one and no column is kept past r.
+    (bit c for class c) in whole-int steps; no Python step is taken per
+    class.  A class stalls at n when it moved at a level below n but does
+    not move at n.  At r every class moves, as (r+1)M = rM + e, the stop
+    test of ``_levels``.
     """
     e = S.e
-    columns: list[array] = [S._ap_class]
+    stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    column = _pack(S._ap_class)
-    below = stratum = 0
+    started = below = stratum = 0
     for n, here, above in _levels(S.gens, S.f):
         if n:
-            leave = fold_classes(stratum, e)
-            if leave.bit_count() != values[n - 1]:
+            moved = fold_classes(stratum, e)
+            if moved.bit_count() != values[n - 1]:
                 raise InternalInconsistency(
                     "%d classes leave level %d, which holds %d elements"
-                    % (leave.bit_count(), n - 1, values[n - 1])
+                    % (moved.bit_count(), n - 1, values[n - 1])
                 )
-            column += e * _fields(leave, e)
-            columns.append(_unpack(column, e))
+            started |= moved
+            stalls.append(started ^ moved)
         stratum = here & ~above
         values.append(stratum.bit_count())
         if n:
             c_sets[n] = bits_to_tuple(stratum & ~(below << e))
         below = here
-    return columns, values, c_sets
+    stalls.append(0)
+    return stalls, values, c_sets
 
 
-def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]:
-    """What ``_bitset_fill`` returns, from the columns alone, with no window.
+def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
+    """What ``_bitset_fill`` returns, from the columns alone, with no window,
+    the stall of class c at bit 32c.
 
-    (n+1)M is the union of g + nM over the generators g, so column n + 1 is
-    the min over g of column n shifted by g: class c takes
-    ``columns[n][(c - g) % e] + g``, and g = e adds e in place.  Each class
-    moves by 0 or e, as nM + e is inside (n+1)M, itself inside nM, and a
-    class of nM is an upward-closed progression from its column entry.  So
-    H(n) is the number of classes that move, level n is stable
-    ((n+1)M = nM + e) when all of them do, and x = columns[n][c] is in C_n
-    when its class moves at n but not at n - 1.  A move of any other size
-    raises, and so does a sweep past level e - 1, as in ``_levels``.
+    Column n holds the smallest element of nM in each class.  (n+1)M is the
+    union of g + nM over the generators g, so column n + 1 is the min over g
+    of column n shifted by g: class c takes entry (c - g) % e plus g, and
+    g = e adds e in place.  Each class moves by 0 or e, as nM + e is inside
+    (n+1)M, itself inside nM, and a class of nM is an upward-closed
+    progression from its column entry.  So H(n) is the number of classes
+    that move, level n is stable ((n+1)M = nM + e) when all of them do, and
+    the entry x of class c is in C_n when its class moves at n but not at
+    n - 1.  A move of any other size raises, and so does a sweep past level
+    e - 1, as in ``_levels``.
 
     The recurrence runs on whole columns, each one int with a 32-bit field
     a class (class c in bits 32c..32c+31): a shift by g is a rotation of the
@@ -200,48 +185,51 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[array], list[int], dict]
     Apery element is at most (e-1) * max(gens) + 1 <= 2**24, a column entry
     at most that plus (e-1) * e < 2**25, and a candidate at most that plus a
     generator < 2**26, below the top bit 2**31 of a field; a field with its
-    top bit set minus another field never goes below 0.
+    top bit set minus another field never goes below 0.  Only the column of
+    the current level is kept.
     """
     e, gens = S.e, S.gens
     hard_stop = max(1, e - 1)
     mask = (1 << 32 * e) - 1
     ones = mask // 0xFFFF_FFFF  # 1 in every field
     high = ones << 31  # the top bit of every field
+    up = e * ones  # e in every field
     # Column n shifted by g is its rotation left by g mod e fields, plus g.
     shifts = [(32 * (g % e), 32 * (e - g % e), g * ones) for g in gens[1:]]
-    columns: list[array] = [S._ap_class]
+    stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    column, before = _pack(S._ap_class), 0
+    column, before, started = _pack(S._ap_class), 0, 0
     n = 0
     while True:
-        step = column + e * ones
+        step = column + up
         for left, right, plus in shifts:
             b = ((column << left) & mask | column >> right) + plus
             # The top bit of a field survives the subtraction iff step >= b there.
             t = ((step | high) - b) & high
             step ^= (step ^ b) & ((t >> 31) * 0xFFFF_FFFF)
-        # A field of step below that of column clears its top bit here.
-        moves = (step | high) - column
-        down = moves & high != high
-        moves ^= high
-        now = (((moves | high) - ones) & high) >> 31  # bit 32c: class c moves
-        if down or moves != now * e:
+        # Every entry fits its field, so step - column is e times a set of
+        # fields (bit 32c: class c moves) iff every class moves by 0 or e.
+        now, rest = divmod(step - column, e)
+        if rest or now & ones != now:
             raise InternalInconsistency(
                 "a class moves by other than 0 or e = %d from level %d" % (e, n)
             )
         h = now.bit_count()
         values.append(h)
+        # The classes that moved below n and do not move at n.
+        started |= now
+        stalls.append(started ^ now)
         if n:
-            here = columns[n]
-            c_sets[n] = tuple(sorted(here[p >> 5] for p in bits_to_tuple(now & ~before)))
+            c_sets[n] = tuple(
+                sorted(column >> p & 0xFFFF_FFFF for p in bits_to_tuple(now & ~before))
+            )
             if h == e:
-                return columns, values, c_sets
+                return stalls, values, c_sets
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
             )
-        columns.append(_unpack(step, e))
         column, before = step, now
         n += 1
 
@@ -312,53 +300,68 @@ class AperyStratification:
 class OrderTable:
     """What one fill of the order filtration of S records.
 
-    ``columns[h][c]`` is the smallest element of hM in residue class c mod e,
-    for h = 0 .. ``stable_from``, packed 4 bytes a class; column 0 is the
-    Apery table S keeps.  Since nM + e is inside (n+1)M, itself inside nM,
-    ``columns[n+1][c]`` is ``columns[n][c]`` or ``columns[n][c] + e``, and
-    H(n) counts the classes that move.  ``hilbert``, ``tables`` and
-    ``apery_strata`` are what ``hilbert_function``, ``strata_tables`` and
-    ``apery_strata`` return.
+    Per residue class c mod e, ``first[c]`` is the order of the class's
+    Apery element ``apery[c]``, and ``runs[c]`` holds a pair (h, t) for each
+    y of the class in D_h^t, ascending.  From ``apery[c]`` on, each e added
+    is one order more, except from y, of order h - 1, to y + e, of order t:
+    the smallest element of the class in hM moves by e at every level from
+    ``first[c]`` on but h..t-1, where it stalls at y + e.  ``hilbert``,
+    ``tables`` and ``apery_strata`` are what ``hilbert_function``,
+    ``strata_tables`` and ``apery_strata`` return, and ``stable_from`` is r,
+    the first level with (r+1)M = rM + e.
 
-    A fill returns the columns, H(0..r) and C_1..C_r, C_n being the
+    A fill returns the classes that stall at levels 0..r (class c at bit c
+    times a stride of 1 or 32), H(0..r) and C_1..C_r, C_n being the
     elements of order n outside (n-1)M + e; ``_bitset_fill`` reads them off
     the level bitsets, ``_min_plus_fill`` off the columns alone (see each),
     chosen by the width of the window against e * v.  Everything after is
-    shared.  An x in C_k is the Apery element of its class c, or y = x - e
-    has order h - 1 < k - 1 and is in D_h^k; then no smaller element of
-    class c is in hM, else y would be, so columns h to k of class c hold x
-    and column h - 1 does not.  Every y in D_h lands so in C_t,
-    t = ord(y + e) > h, so this yields D_h, D_h^t and the Apery strata; an
-    x that fits neither raises.  A class holds at most one element of each
-    order, so the column sums grow by e * H(n) from level n to n + 1.  The
-    bitset fill checks that each stratum meets as many classes as it has
-    elements, the min-plus fill each move against {0, e}; either implies it.
+    shared.  An x in C_k is the Apery element of its class c, which sets
+    ``first[c]`` = k, or y = x - e has order h - 1 < k - 1 and is in D_h^k;
+    then class c moves at h - 1, stalls at h..k-1 and moves at k, which is
+    the run (h, k).  Every y in D_h lands so in C_t, t = ord(y + e) > h, so
+    this yields D_h, D_h^t, the Apery strata and the runs.  Each run is
+    checked against the stalls: it ends at level k, where its class moves,
+    and it starts at a level h, 2 <= h < k, after a move, so every C_k
+    element that is not an Apery element ends a run; one that does not
+    raises.  A class holds at most one element of each order, so H(n)
+    counts the classes that move at n.  The bitset fill checks that each
+    stratum meets as many classes as it has elements, the min-plus fill each
+    move against {0, e}; either implies it.
     """
 
-    __slots__ = ("e", "columns", "stable_from", "hilbert", "tables", "apery_strata")
+    __slots__ = (
+        "e", "apery", "first", "runs", "stable_from", "hilbert", "tables", "apery_strata"
+    )
 
     def __init__(self, S: NumericalSemigroup):
         e, apery = S.e, S._ap_class
-        fill = _min_plus_fill if S.f + e > _MIN_PLUS_ABOVE * e * S.v else _bitset_fill
-        columns, values, c_sets = fill(S)
+        if S.f + e > _MIN_PLUS_ABOVE * e * S.v:
+            stride, (stalls, values, c_sets) = 32, _min_plus_fill(S)
+        else:
+            stride, (stalls, values, c_sets) = 1, _bitset_fill(S)
         r = len(values) - 1
 
         # Each y in D_h lands in C_t, t > h: the last nonempty C_k bounds D_h.
         r_stop = max((k + 1 for k, v in c_sets.items() if v), default=2)
         apery_parts: dict[int, list[int]] = {}  # k -> Apery elements of order k
         landings: dict[int, dict[int, list[int]]] = {h: {} for h in range(2, r_stop)}
+        first = [0] * e
+        runs: dict[int, list[tuple[int, int]]] = {}
         for k in range(1, r_stop):
             for x in c_sets[k]:
                 c = x % e
                 if apery[c] == x:
                     apery_parts.setdefault(k, []).append(x)
+                    first[c] = k
                     continue
-                h = k
-                while columns[h - 1][c] == x:
+                # stalls[0] is empty, so the walk stops at h >= 1.
+                p, h = c * stride, k
+                while stalls[h - 1] >> p & 1:
                     h -= 1
-                if h < 2 or columns[k][c] != x:
+                if h == k or h < 2 or stalls[k] >> p & 1:
                     raise InternalInconsistency("%d in C_%d is not a landing" % (x, k))
                 landings[h].setdefault(k, []).append(x - e)
+                runs.setdefault(c, []).append((h, k))
         c_sets = {k: c_sets[k] for k in range(1, r_stop)}
         d_sets: dict[int, tuple[int, ...]] = {}
         d_split: dict[int, dict[int, tuple[int, ...]]] = {}
@@ -387,7 +390,12 @@ class OrderTable:
             raise InternalInconsistency("H_R(1) = %d != v = %d" % (values[1], S.v))
 
         self.e = e
-        self.columns = columns
+        self.apery = apery
+        self.first = first
+        # A tuple per class, so a class with no run reads one empty tuple.
+        self.runs = [()] * e
+        for c, pairs in runs.items():
+            self.runs[c] = tuple(pairs)
         self.stable_from = r
         self.hilbert = HilbertProfile(tuple(values[: stable_at + 1]), stable_at, decreasing)
         self.tables = FiltrationTables(d_sets, c_sets, d_split, k0, r_stop)
@@ -396,19 +404,33 @@ class OrderTable:
     def order(self, s: int) -> int:
         """ord(s) for a member s (no membership check here).
 
-        ord(s) is the last level whose smallest element in the class of s is
-        at most s.  From level r = stable_from on, that element grows by e a
-        level, so ord(s) = r + (s - w_r) / e once s >= w_r.
+        s is ``apery[c] + q * e`` in its class c, and ord(s) is
+        ``first[c] + q`` plus t - h for each run (h, t) of the class that
+        starts at or below the order reached so far.
         """
-        columns, r, c = self.columns, self.stable_from, s % self.e
-        top = columns[r][c]
-        if s >= top:
-            return r + (s - top) // self.e
-        return bisect_right(columns, s, 0, r, key=itemgetter(c)) - 1
+        e = self.e
+        c = s % e
+        k = self.first[c] + (s - self.apery[c]) // e
+        for h, t in self.runs[c]:
+            if h > k:
+                break
+            k += t - h
+        return k
+
+    def column(self, h: int) -> list[int]:
+        """The smallest element of hM in each class mod e, h >= 0."""
+        e, out = self.e, []
+        for x, k, runs in zip(self.apery, self.first, self.runs):
+            for start, end in runs:
+                if h < start:
+                    break
+                x, k = x + (start - k) * e, end
+            out.append(x + max(h - k, 0) * e)
+        return out
 
     def ord_map(self, limit: int) -> dict[int, int]:
         """{s: ord(s)} for every member s in [0, limit]."""
-        apery = self.columns[0]
+        apery = self.apery
         return {s: self.order(s) for s in range(limit + 1) if s >= apery[s % self.e]}
 
 

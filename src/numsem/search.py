@@ -26,16 +26,18 @@ Three layers:
   depth-first, one ``add_generator`` step each, and a prefix is cut as soon
   as one of its generators becomes a sum of the others: adding generators
   never makes a redundant one minimal again, so no completion of that
-  prefix is minimal.  Each surviving leaf is made from the closure the walk
-  holds for it.  A shape that forces more generators y = s - e, s a sum of
-  three of its roles, than it names Apery elements decreases at level 2 at
-  every leaf (the count is in ``_expand_skeleton``): that is every shape of
-  v = e-3 and the (4, 0) shapes of v = e-4, whose leaves are hits as they
-  stand.  The leaves of the (3, 1) shapes are swept up to their first
-  decrease.  Every hit is re-verified by a full order table, whose
-  H_R(1) = v check backs up the pruning and whose decrease backs up the
-  count, and then keeps only the Hilbert profile that table proved: the
-  table itself is dropped, not cached on the hit.  With more than one
+  prefix is minimal.  A shape that forces more generators y = s - e, s a
+  sum of three of its roles, than it names Apery elements decreases at
+  level 2 at every leaf (the count is in ``_expand_skeleton``): that is
+  every shape of v = e-3 and the (4, 0) shapes of v = e-4, whose leaves are
+  hits as they stand, each made from the closure the walk holds for it.
+  The leaves of the (3, 1) shapes are decided before any is made: the
+  walk's closure is grown to read f, the levels are swept on the
+  generators and f up to their first decrease, and only a hit is made.
+  Every hit is re-verified by a full order table, whose H_R(1) = v check
+  backs up the pruning and whose decrease backs up the count, and then
+  keeps only the Hilbert profile that table proved: the table itself is
+  dropped, not cached on the hit.  With more than one
   worker the (e, n_i) cells run in a process pool, which the first such
   search imports; a serial search never loads it.
 """
@@ -47,7 +49,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._bitset import add_generator, bits_to_tuple
+from ._bitset import add_generator, bits_to_tuple, frobenius_window, largest_missing
 from .core import _WINDOW_BUDGET, NumericalSemigroup, build
 from .errors import (
     BadRange,
@@ -269,12 +271,14 @@ class SearchConfig:
         return bound
 
 
-def _candidate_is_hit(S: NumericalSemigroup) -> bool:
-    """Fast check that H_R of a leaf decreases: the order filtration
+def _candidate_is_hit(gens: tuple[int, ...], f: int) -> bool:
+    """Fast check that H_R of the semigroup of the ascending, minimal
+    ``gens``, whose Frobenius number is f, decreases: the order filtration
     is swept up to its first decrease, or to stabilization, after which the
-    function never moves again."""
+    function never moves again.  It reads no Apery table, so a leaf is
+    decided before it is made."""
     h_prev = 1  # H_R(0)
-    for _, here, above in _levels(S.gens, S.f):
+    for _, here, above in _levels(gens, f):
         h_cur = (here & ~above).bit_count()
         if h_cur < h_prev:
             return True
@@ -296,11 +300,13 @@ def _expand_skeleton(
     generators never make a redundant one minimal again), so a failed step
     cuts its whole prefix, and a failed root drops the shape.  A surviving
     leaf's fold is its minimality proof, and its closure is exact over
-    [0, bound]; the semigroup is made from that closure, whose window grows
-    when an Apery element lies above the bound, and is the hit when its
-    levels decrease.  Every class holds a generator or a named sum of
-    generators, so the gcd is 1, and the Apery checks raising at a leaf is an
-    engine fault.
+    [0, bound].  A leaf of a shape not flagged ``decreases`` is decided
+    before it is made: its closure grows until it holds f + e (past the
+    bound when an Apery element lies above it), f is read off it, and
+    ``_candidate_is_hit`` sweeps the levels of (gens, f).  Only a hit is made
+    into a semigroup, from the closure the walk holds for it.  Every class
+    holds a generator or a named sum of generators, so the gcd is 1, and the
+    Apery checks raising at a hit is an engine fault.
 
     A leaf of a shape flagged ``decreases`` is a hit without a sweep.  Every
     minimal generator but e lies in Ap_1, so the Apery elements of order
@@ -310,7 +316,7 @@ def _expand_skeleton(
     with y + e in 3M, so y is in D_2, and the forced values lie in distinct
     classes.  So H(2) - H(1) = |C_2| - |D_2| < 0 when the forced y outnumber
     the named elements, and as H(1) = v >= H(0), level 2 is the first
-    decrease.  Any other leaf is swept by ``_candidate_is_hit``.
+    decrease.
     """
     hits: list[NumericalSemigroup] = []
     if max(forced) > bound or not _one_per_class(e, forced + named):
@@ -334,9 +340,12 @@ def _expand_skeleton(
     while stack:
         depth, gens, closure, gen_bits = stack.pop()
         if depth == len(choices):
-            S = NumericalSemigroup._from_closure(tuple(sorted(gens)), closure, bound)
-            if decreases or _candidate_is_hit(S):
-                hits.append(S)
+            gens, limit = tuple(sorted(gens)), bound
+            if not decreases:
+                closure, limit = frobenius_window(closure, gens, bound)
+                if not _candidate_is_hit(gens, largest_missing(closure, limit)):
+                    continue
+            hits.append(NumericalSemigroup._from_closure(gens, closure, limit))
             continue
         # The closure holds e, so a reached value of a class leaves out every
         # later one too: what remains is the values below the first reached.

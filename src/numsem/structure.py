@@ -485,12 +485,14 @@ def check_power_apery_tail(S: NumericalSemigroup) -> PowerTailVerdict:
     r0 = min(singles)
     if r0 >= d:
         return PowerTailVerdict(applicable=False, r0=r0, d=d)
-    for a in _ap1(S):
-        tail_ok = all(set(strata.strata[k]) == {k * a} for k in range(r0, d + 1))
-        if tail_ok:
-            head_ok = all(k * a in strata.strata.get(k, ()) for k in range(1, r0))
-            return PowerTailVerdict(True, r0, d, a, True, head_ok)
-    return PowerTailVerdict(True, r0, d, None, False, False)
+    # Ap_r0 = {u}.  The k terms of a maximal representation of an element
+    # of Ap_k, k > r0, are minimal generators other than e, and any r0 of
+    # them sum to an element of Ap_r0, which is u; so all k are one a with
+    # r0 * a = u.  A sum of h of the d terms of d * a, h * a is in Ap_h.
+    a = strata.strata[r0][0] // r0
+    tail_ok = all(set(strata.strata[k]) == {k * a} for k in range(r0, d + 1))
+    head_ok = tail_ok and all(k * a in strata.strata.get(k, ()) for k in range(1, r0))
+    return PowerTailVerdict(True, r0, d, a if tail_ok else None, tail_ok, head_ok)
 
 
 # -- aggregate report ---------------------------------------------------------

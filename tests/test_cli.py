@@ -79,6 +79,16 @@ def test_info_json_round_trip(capsys):
     assert render(report, "json") == out
 
 
+def test_render_library_reports():
+    """``render`` on reports a library caller builds: text lists the
+    warnings after the payload, and csv exists only for a search payload."""
+    report = execute(parse(["info", "3,5"]))
+    with pytest.raises(UsageError, match="only available for search"):
+        render(report, "csv")
+    warned = Report({"e": 3}, ["first", "second"])
+    assert render(warned, "text") == "e: 3\nwarning: first\nwarning: second\n"
+
+
 def test_check_exit_codes(capsys):
     gens = ",".join(map(str, data.E13))
     code, out, _ = run(["check", "offset-3", gens], capsys)

@@ -90,19 +90,20 @@ def check_orders(S):
 
 
 def check_columns(S):
-    """Each column of the order table against the array DP: ``columns[h][c]``
-    is the smallest s = c mod e with ord(s) >= h, for h = 0 .. stable_from,
-    and a class gains 0 or e from one column to the next."""
+    """Each column the order table derives against the array DP:
+    ``column(h)[c]`` is the smallest s = c mod e with ord(s) >= h, for
+    h = 0 .. stable_from + 2, and a class gains 0 or e from one column to the
+    next."""
     table = order_table(S)
-    e, columns = S.e, table.columns
-    assert len(columns) == table.stable_from + 1
+    e = S.e
+    columns = [table.column(h) for h in range(table.stable_from + 3)]
     want = oracles.order_dp(list(S.gens), S.f + len(columns) * e)
     for h, column in enumerate(columns):
         smallest = {}
         for s, k in enumerate(want):
             if k is not None and k >= h:
                 smallest.setdefault(s % e, s)
-        assert list(column) == [smallest[c] for c in range(e)], h
+        assert column == [smallest[c] for c in range(e)], h
     for low, high in zip(columns, columns[1:]):
         assert {b - a for a, b in zip(low, high)} <= {0, e}
 
@@ -142,7 +143,7 @@ def check_tables(S):
 
 def check_leaf(S):
     """The search's early-exit sweep against the full order table."""
-    assert search._candidate_is_hit(S) == hilbert_function(S).is_decreasing
+    assert search._candidate_is_hit(S.gens, S.f) == hilbert_function(S).is_decreasing
 
 
 CHECKS = [
@@ -211,6 +212,26 @@ def test_both_fills_match_oracles_on_study_instances_and_ladders(
         check(build(list(gens)))
 
 
+@pytest.mark.parametrize(
+    "gens, c, runs",
+    [
+        ((11, 12, 27), 10, ((5, 6), (9, 10))),
+        ((21, 23, 98), 7, ((5, 8), (11, 14))),
+        ((20, 27, 30, 71), 13, ((4, 7), (9, 10))),
+    ],
+)
+@pytest.mark.parametrize("fill", FILLS)
+def test_order_reads_stall_runs(monkeypatch, fill, gens, c, runs):
+    """Semigroups with a class of two stall runs: ``order()`` adds both to
+    the first move, against the array DP on every member up to f + r_stop*e
+    and on the far reads at 2 to 4 times that bound."""
+    monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", FILLS[fill])
+    S = build(list(gens))
+    assert order_table(S).runs[c] == runs
+    check_orders(S)
+    check_columns(S)
+
+
 @st.composite
 def two_generator_semigroups(draw):
     a = draw(st.integers(min_value=2, max_value=12))
@@ -246,10 +267,21 @@ def test_representation_reads_match_oracles(S):
 
 
 def _table_fields(gens):
-    """Every field of the order table; the repr keeps the dict key order."""
+    """Every field of the order table and the columns it derives up to
+    ``stable_from``; the repr keeps the dict key order."""
     table = order_table(build(list(gens)))
-    columns = [list(column) for column in table.columns]
-    return repr((table.hilbert, table.tables, table.apery_strata, columns, table.stable_from))
+    columns = [table.column(h) for h in range(table.stable_from + 1)]
+    return repr(
+        (
+            table.hilbert,
+            table.tables,
+            table.apery_strata,
+            table.first,
+            table.runs,
+            columns,
+            table.stable_from,
+        )
+    )
 
 
 @pytest.mark.parametrize(
@@ -300,22 +332,32 @@ def test_fills_agree_around_the_threshold(S):
     assert tables[0] == tables[1]
 
 
+def _spread(bits, width):
+    """The set ``bits`` of classes with class c moved to bit c * width."""
+    return sum(1 << width * c for c in bits_to_tuple(bits))
+
+
 @pytest.mark.parametrize("gens", [(2, 8388607), (3, 5592404)])
 def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
-    """Both fills pack a column in 32-bit fields, and the table keeps it as
-    an ``array("i")``.  Under the window budget B >= e * max(gens), an Apery
-    element is at most (e-1) * max(gens) + 1 <= B, a column entry at most
-    that plus (e-1) * e, itself below B, and a min-plus candidate at most
-    that plus a generator <= B, so every field stays below 3B; that must
-    leave the top bit 2**31 of a field clear.  A larger budget fails here
-    until the width is re-derived.  Then both fills, field for field, at
-    the budget's edge: e * max(gens) is 2**24 - 2 and 2**24 - 4."""
+    """The min-plus fill packs a column in 32-bit fields, and the semigroup
+    keeps its Apery table, column 0, as an ``array("i")``.  Under the window
+    budget B >= e * max(gens), an Apery element is at most
+    (e-1) * max(gens) + 1 <= B, a column entry at most that plus (e-1) * e,
+    itself below B, and a min-plus candidate at most that plus a generator
+    <= B, so every field stays below 3B; that must leave the top bit 2**31
+    of a field clear.  A larger budget fails here until the width is
+    re-derived.  Then both fills at the budget's edge, where e * max(gens)
+    is 2**24 - 2 and 2**24 - 4: their stalls (class c at bit c and at bit
+    32c), H and C_n, and every field of the table."""
     assert array("i").itemsize == 4
     budget = core._WINDOW_BUDGET
     assert 3 * budget < 2**31
     a, b = gens
     assert a * b <= budget and math.gcd(a, b) == 1
-    assert build([a, b]).f == a * b - a - b
+    S = build([a, b])
+    assert S.f == a * b - a - b
+    stalls, values, c_sets = grading._bitset_fill(S)
+    assert grading._min_plus_fill(S) == ([_spread(x, 32) for x in stalls], values, c_sets)
     tables = []
     for above in FILLS.values():
         monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
@@ -544,7 +586,7 @@ def _feed(change):
 
 
 def _refill(change):
-    """Let ``change(columns, values, c_sets)`` edit, in place, what the
+    """Let ``change(stalls, values, c_sets)`` edit, in place, what the
     bitset fill hands the table of E13."""
 
     def fixture(monkeypatch):
@@ -559,6 +601,11 @@ def _refill(change):
         return lambda: hilbert_function(build(list(data.E13)))
 
     return fixture
+
+
+def _restall(n, c):
+    """Flip the stall of class c at level n in the bitset fill of E13."""
+    return _refill(lambda stalls, values, c_sets: stalls.__setitem__(n, stalls[n] ^ 1 << c))
 
 
 def _drop_c2(monkeypatch):
@@ -621,7 +668,7 @@ def _non_minimal_entry(monkeypatch):
 
 
 def _accept_every_leaf(monkeypatch):
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, f: True)
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 
@@ -676,7 +723,7 @@ def _no_c3_witness(monkeypatch):
     [
         (_stall, "did not stabilize"),
         # H_R(r) = e - 1 at the level r = 5 where E13 is stable.
-        (_refill(lambda columns, values, c_sets: values.__setitem__(5, 12)), "H_R"),
+        (_refill(lambda stalls, values, c_sets: values.__setitem__(5, 12)), "H_R"),
         # The Apery element 19 of E13 never gets an order.
         (_feed(lambda n, here, above: above | (1 << 19) if n == 1 else above), "Apery strata"),
         # 2e = 26 leaves 2M, so stratum 1 of E13 holds two elements of class 0,
@@ -685,12 +732,13 @@ def _no_c3_witness(monkeypatch):
             _feed(lambda n, here, above: above & ~(1 << 26) if n == 1 else above),
             "classes leave level",
         ),
-        # 57 = 44 + e, a landing in C_3: column 3 of its class 5 moves on
-        # to 70 while C_3 still holds 57.
-        (
-            _refill(lambda columns, values, c_sets: columns[3].__setitem__(5, 70)),
-            "not a landing",
-        ),
+        # 57 = 44 + e, a landing in C_3: its class 5 moves at level 1, where
+        # 44 has its order, stalls at 2 and moves at 3.  Here the run does
+        # not end at 3, as the class stalls there too; or it has no stall
+        # before 3; or it reaches back to level 1, below D_2.
+        (_restall(3, 5), "57 in C_3 is not a landing"),
+        (_restall(2, 5), "57 in C_3 is not a landing"),
+        (_restall(1, 5), "57 in C_3 is not a landing"),
         (_min_plus_jump, "moves by other than 0 or e"),
         (_min_plus_between, "moves by other than 0 or e"),
         (_min_plus_stall, "did not stabilize by level 2"),
@@ -709,6 +757,8 @@ def _no_c3_witness(monkeypatch):
         "apery_strata",
         "class_moves",
         "landing",
+        "landing_start",
+        "landing_below_d2",
         "min_plus_moves",
         "min_plus_between",
         "min_plus_stabilization",

@@ -226,7 +226,7 @@ def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     completes to a family member.  The v = e-4 shape of (14, 16) whose
     order-3 Apery element is 3 * 14 = 42 names a value in the class of 16;
     without the class test its walk would make v = e-3 leaves."""
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: True)
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, f: True)
     e, bound = 13, 6 * 13
     leaves = search._expand_skeleton(
         e, (13, 14, 17, 29, 32, 35, 38), (28, 31, 34), False, bound
@@ -385,7 +385,9 @@ def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
     want = [S.gens for S in search_decreasing(cfg)]
     real = search._candidate_is_hit
     swept = []
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda S: swept.append(S) or real(S))
+    monkeypatch.setattr(
+        search, "_candidate_is_hit", lambda gens, f: swept.append((gens, f)) or real(gens, f)
+    )
     hits, flagged = set(), []
     for v_offset, e, n_i, bound in search._tasks_for(cfg):
         for forced, named, decreases in search._cell_shapes(v_offset, e, n_i, bound):
@@ -395,10 +397,10 @@ def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
                 flagged += swept[start:]
     assert sorted(hits) == want
     assert flagged
-    for S in flagged:
-        assert real(S)
-        assert hilbert_function(S).decreasing_levels[0] == 2, S.gens
-    assert {S.e for S in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
+    for gens, f in flagged:
+        assert real(gens, f)
+        assert hilbert_function(build(list(gens))).decreasing_levels[0] == 2, gens
+    assert {gens[0] for gens, f in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
 
 
 @pytest.mark.parametrize(
