@@ -398,8 +398,9 @@ def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
     assert sorted(hits) == want
     assert flagged
     for gens, f in flagged:
-        assert real(gens, f)
-        assert hilbert_function(build(list(gens))).decreasing_levels[0] == 2, gens
+        S = build(list(gens))
+        assert real(gens, f) and f == S.f, gens
+        assert hilbert_function(S).decreasing_levels[0] == 2, gens
     assert {gens[0] for gens, f in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
 
 
