@@ -346,7 +346,8 @@ class OrderTable:
         apery_parts: dict[int, list[int]] = {}  # k -> Apery elements of order k
         landings: dict[int, dict[int, list[int]]] = {h: {} for h in range(2, r_stop)}
         first = [0] * e
-        runs: dict[int, list[tuple[int, int]]] = {}
+        # A tuple per class, so a class with no run reads one empty tuple.
+        runs: list[tuple[tuple[int, int], ...]] = [()] * e
         for k in range(1, r_stop):
             for x in c_sets[k]:
                 c = x % e
@@ -361,7 +362,7 @@ class OrderTable:
                 if h == k or h < 2 or stalls[k] >> p & 1:
                     raise InternalInconsistency("%d in C_%d is not a landing" % (x, k))
                 landings[h].setdefault(k, []).append(x - e)
-                runs.setdefault(c, []).append((h, k))
+                runs[c] += ((h, k),)
         c_sets = {k: c_sets[k] for k in range(1, r_stop)}
         d_sets: dict[int, tuple[int, ...]] = {}
         d_split: dict[int, dict[int, tuple[int, ...]]] = {}
@@ -392,10 +393,7 @@ class OrderTable:
         self.e = e
         self.apery = apery
         self.first = first
-        # A tuple per class, so a class with no run reads one empty tuple.
-        self.runs = [()] * e
-        for c, pairs in runs.items():
-            self.runs[c] = tuple(pairs)
+        self.runs = runs
         self.stable_from = r
         self.hilbert = HilbertProfile(tuple(values[: stable_at + 1]), stable_at, decreasing)
         self.tables = FiltrationTables(d_sets, c_sets, d_split, k0, r_stop)
