@@ -364,11 +364,11 @@ class OrderTable:
                 landings[h].setdefault(k, []).append(x - e)
                 runs[c] += ((h, k),)
         c_sets = {k: c_sets[k] for k in range(1, r_stop)}
-        d_sets: dict[int, tuple[int, ...]] = {}
+        d_sets: dict[int, tuple[int, ...]] = dict.fromkeys(landings, ())
         d_split: dict[int, dict[int, tuple[int, ...]]] = {}
         for h, split in landings.items():
-            d_sets[h] = tuple(sorted(y for part in split.values() for y in part))
             if split:
+                d_sets[h] = tuple(sorted(y for part in split.values() for y in part))
                 d_split[h] = {t: tuple(part) for t, part in split.items()}
         k0 = min(d_split, default=None)
         # H_R(n) = e on the computed tail; past r it follows from
