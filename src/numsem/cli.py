@@ -457,7 +457,3 @@ def main(argv: list[str] | None = None) -> int:
         return report.exit_code
     sys.stdout.write(render(report, fmt))
     return report.exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -172,7 +172,10 @@ class NumericalSemigroup:
             )
         object.__setattr__(self, "_ap_class", ap_class)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+    def __setattr__(self, name, value):
+        raise AttributeError("NumericalSemigroup is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("NumericalSemigroup is immutable")
 
     def __reduce__(self):

@@ -17,8 +17,11 @@ Three layers:
   names, one per residue class; every other class takes one generator, so
   v = e - #named.  The shapes are read off the table the structure
   detectors match against (``structure._Shape``); only the cuts on the
-  roles and the per-residue pre-test of the three-generator shapes are the
-  search's own.  Every candidate value for a remaining class sits below
+  roles are the search's own.  Whether a shape's values lie in distinct
+  classes depends only on its roles' classes, so that rule is a table over
+  residues (``_classes``), decided once per multiplicity: a role steps by e
+  through the classes it admits, and a colliding shape is never listed.
+  Every candidate value for a remaining class sits below
   that class's smallest element in the subsemigroup generated by the forced
   generators (the final Apery element can only be smaller), so the
   enumeration is exhaustive within the generator bound; only pairs whose
@@ -47,6 +50,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from ._bitset import add_generator, bits_to_tuple, frobenius_window, largest_missing
@@ -59,7 +63,7 @@ from .errors import (
 )
 from .filtration import hilbert_function
 from .grading import OrderTable, _levels
-from .structure import _FOUR_ZERO, _OFFSET3, check_offset3
+from .structure import _FOUR_ZERO, _OFFSET3, _Shape, check_offset3
 
 # concurrent.futures.ProcessPoolExecutor, imported by the first search that
 # runs more than one worker: its import tree (multiprocessing, pickle,
@@ -110,6 +114,17 @@ def _one_per_class(e: int, values: tuple[int, ...]) -> bool:
     return len({x % e for x in values}) == len(values)
 
 
+@cache
+def _classes(shape: _Shape, e: int, prefix: tuple[int, ...]) -> tuple[int, ...]:
+    """The classes t in 1..e-1 for which ``shape`` on the residues
+    ``prefix + (t,)`` has its values in distinct classes mod e.  Every value
+    of a shape is an integer combination of e and its roles, so whether its
+    real values collide mod e depends only on the roles' classes: this is
+    the search's one-per-class rule, decided once per (shape, e, prefix)."""
+    values = {t: sum(shape.skeleton(e, prefix + (t,)), ()) for t in range(1, e)}
+    return tuple(t for t in values if _one_per_class(e, values[t]))
+
+
 def residue_admissible(e: int, h: int) -> ResidueRow:
     """Admissibility of the class pair (1, h) modulo e.
 
@@ -122,7 +137,8 @@ def residue_admissible(e: int, h: int) -> ResidueRow:
         raise BadRange("h must satisfy 1 <= h <= e-1")
     base = tuple(x % e for x in (1, 2, 3, h, h + 1, h + 2, 2 * h, 2 * h + 1, 3 * h))
     extra = tuple(x % e for x in (2 * h + 2, h + 3, 3 * h + 1, 2 * h + 3, 3 * h + 2))
-    distinct = _one_per_class(e, (0,) + base)
+    # the v = e-3 shape on (1, h) has the classes of 0 and ``base``
+    distinct = h in _classes(_OFFSET3, e, (1,))
     covered = distinct and set(range(1, e)) - set(base) <= set(extra)
     return ResidueRow(e, h, base, extra, distinct and covered)
 
@@ -292,11 +308,11 @@ def _expand_skeleton(
     """Complete one shape to its minimal semigroups whose levels decrease.
 
     A shape is the generators it forces (e first) and the Apery elements of
-    order >= 2 it names.  An Apery set holds one element per class mod e, so
-    a shape whose values share a class is dropped, and each other class
-    takes one generator: v = e - len(named).  The forced generators, then
-    one value per remaining class chosen depth-first, are folded through
-    ``add_generator`` over [0, bound].  Redundancy is monotone (more
+    order >= 2 it names, in distinct classes mod e (``_cell_shapes`` lists no
+    other), and each other class takes one generator: v = e - len(named).
+    The forced generators, then one value per remaining class chosen
+    depth-first, are folded through ``add_generator`` over [0, bound].
+    Redundancy is monotone (more
     generators never make a redundant one minimal again), so a failed step
     cuts its whole prefix, and a failed root drops the shape.  A surviving
     leaf's fold is its minimality proof, and its closure is exact over
@@ -319,7 +335,7 @@ def _expand_skeleton(
     decrease.
     """
     hits: list[NumericalSemigroup] = []
-    if max(forced) > bound or not _one_per_class(e, forced + named):
+    if max(forced) > bound:
         return hits
     root, root_gens = 1, 0
     for g in forced:
@@ -375,51 +391,49 @@ def _cell_shapes(v_offset: int, e: int, a: int, bound: int) -> Iterator[tuple]:
     two-generator C_3 in the Apery set and drops the other three by e to
     generators; its walk tries every open value of the kept element's class,
     so its completions hold the decreases at level 2 (4a - e a generator
-    when 3a is kept) as well as at level 3.  The cuts on b, the early exit
-    per (a, b) and the per-residue pre-test are the search's.
+    when 3a is kept) as well as at level 3.  Every v = e-4 shape holds the
+    v = e-3 shape's classes on (a, b), so b steps by e through the classes
+    that the v = e-3 table admits for a, and c through those the (4, 0)
+    shape's table admits for (a, b); the cuts on b and c are the bounds.
 
     ``decreases`` is set when the shape forces more generators y = s - e
     than it names Apery elements: 4 > 3 at v = e-3 and 5 > 4 for the (4, 0)
     shapes, whose leaves all decrease at level 2 (see ``_expand_skeleton``),
     but 3 < 4 for the (3, 1) shapes, whose leaves are swept.
     """
-    if v_offset == 3:
-        # 3b - e is forced, so b <= (bound + e) / 3.
-        for b in range(a + 1, (bound + e) // 3 + 1):
-            yield _flagged((a, b), *_OFFSET3.skeleton(e, (a, b)))
-        return
-    # Every shape forces a + 2b - e or more, so b <= (bound + e - a) / 2.
-    for b in range(e + 1, (bound + e - a) // 2 + 1):
-        base, ap2 = _OFFSET3.skeleton(e, (a, b))
-        # a (3, 1) shape names one element of the v = e-3 shape's C_3 (its
-        # D_2 + e) as Ap_3; like that shape, it is symmetric in a, b
-        if _OFFSET3.reads((a, b)):
-            c3 = _OFFSET3.d2e(a, b)
-            for ap3 in c3:
-                forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
-                yield _flagged((a, b), forced, ap2 + (ap3,))
-        # (4, 0): a shape's values hold the v = e-3 shape's on (a, b), so if
-        # those collide or pass the bound, no c fits.  Whether the others
-        # are distinct depends only on c mod e, so each residue r stands in
-        # for c once per (a, b), and only admissible residues are walked.
-        if max(base) > bound or not _one_per_class(e, base + ap2):
-            continue
-        for r in range(1, e):
-            fits = [
-                shape
-                for shape in _FOUR_ZERO
-                if shape.reads((a, b))
-                and _one_per_class(e, sum(shape.skeleton(e, (a, b, r)), ()))
-            ]
-            for c in range(r + e, bound + 1, e):
-                for shape in fits:
-                    yield _flagged((a, b, c), *shape.skeleton(e, (a, b, c)))
+    # v = e-3 forces 3b - e, so b <= (bound + e) / 3; every v = e-4 shape
+    # forces a + 2b - e or more, so b <= (bound + e - a) / 2.
+    lo, hi = (a + 1, (bound + e) // 3) if v_offset == 3 else (e + 1, (bound + e - a) // 2)
+    for s in _classes(_OFFSET3, e, (a % e,)):
+        for b in range(lo + (s - lo) % e, hi + 1, e):
+            base, ap2 = _OFFSET3.skeleton(e, (a, b))
+            if v_offset == 3:
+                yield _flagged((a, b), base, ap2)
+                continue
+            # a (3, 1) shape names one element of the v = e-3 shape's C_3
+            # (its D_2 + e) as Ap_3; like that shape, it is symmetric in a, b
+            if _OFFSET3.reads((a, b)):
+                c3 = _OFFSET3.d2e(a, b)
+                for ap3 in c3:
+                    forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
+                    yield _flagged((a, b), forced, ap2 + (ap3,))
+            # (4, 0): a shape's values hold the v = e-3 shape's on (a, b), so
+            # if those pass the bound, no c fits.
+            if max(base) > bound:
+                continue
+            for shape in _FOUR_ZERO:
+                for t in _classes(shape, e, (a % e, s)) if shape.reads((a, b)) else ():
+                    for c in range(t + e, bound + 1, e):
+                        yield _flagged((a, b, c), *shape.skeleton(e, (a, b, c)))
 
 
 def _cells(e: int, bound: int) -> Iterator[int]:
     """The n_i of the (e, n_i) cells: every shape forces 3n_i - e or more,
-    so n_i <= (bound + e) / 3, and n_i is not a multiple of e."""
-    return (n_i for n_i in range(e + 1, (bound + e) // 3 + 1) if n_i % e)
+    so n_i <= (bound + e) / 3, and the class of n_i admits some b (class 0
+    admits none)."""
+    return (
+        n_i for n_i in range(e + 1, (bound + e) // 3 + 1) if _classes(_OFFSET3, e, (n_i % e,))
+    )
 
 
 def _tasks_for(config: SearchConfig) -> list[tuple[int, int, int, int]]:

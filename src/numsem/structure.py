@@ -421,6 +421,7 @@ def check_chain_structure(S: NumericalSemigroup) -> ChainReport:
     ell = min(hp.decreasing_levels)
     d = strata.d
     wits = []
+    any_chain = False
     any_pattern = False
     any_tail = False
     # ell >= 2, as H(1) = v >= H(0), so the chain pins C_2 = {2a, a+b, 2b}.
@@ -432,6 +433,7 @@ def check_chain_structure(S: NumericalSemigroup) -> ChainReport:
         )
         if not chain_ok:
             continue
+        any_chain = True
         d_ell_shift = {x + S.e for x in _set(tables, "d", ell)}
         if (d + 1) * a not in d_ell_shift:
             continue
@@ -448,7 +450,7 @@ def check_chain_structure(S: NumericalSemigroup) -> ChainReport:
         d=d,
         witnesses=tuple(wits),
         ell_at_most_d=ell <= d,
-        chain_ok=bool(wits),
+        chain_ok=any_chain,
         power_in_d_ell=bool(wits),
         tail_ok=any_tail,
         d_ell_pattern_ok=any_pattern,

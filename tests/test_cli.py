@@ -107,6 +107,29 @@ def test_check_exit_codes(capsys):
     assert code == 0 and "tangent_cone_cm: true" in out
 
 
+@pytest.mark.parametrize(
+    "check, gens, e, f, extra",
+    [
+        ("c3", [13, 18, 37, 38, 58], 13, 79, {"witnesses": []}),
+        ("ap2-4", [12, 15, 28, 29, 35], 12, 61, {}),
+    ],
+)
+def test_check_reports_no_pattern(capsys, check, gens, e, f, extra):
+    """|Ap_2| = 3 with no C_3 pattern, and |Ap_2| = 4 with no case: the
+    hypothesis holds, so the check exits 0 with found false."""
+    code, out, _ = run(["check", check, ",".join(map(str, gens)), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"] == {
+        "check": check,
+        "e": e,
+        "found": False,
+        "frobenius": f,
+        "generators": gens,
+        "v": 5,
+        **extra,
+    }
+
+
 def test_check_family_member(capsys):
     gens = ",".join(map(str, data.SP_FAMILY[1][1]))
     code, out, _ = run(["check", "offset-3", gens], capsys)

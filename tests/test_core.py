@@ -87,6 +87,15 @@ def test_build_keeps_no_window():
     assert held < 32 * 1024
 
 
+def test_semigroup_attributes_can_be_neither_set_nor_deleted(e13):
+    for name in ("e", "gens", "_ap_class", "new"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(e13, name, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(e13, name)
+    assert (e13.e, e13.gens) == (13, data.E13)
+
+
 @pytest.mark.parametrize(
     "clone",
     [lambda S: pickle.loads(pickle.dumps(S)), copy.deepcopy],

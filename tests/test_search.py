@@ -34,6 +34,7 @@ from numsem import (
 )
 from numsem import search
 from numsem._bitset import add_generator
+from numsem.structure import _FOUR_ZERO, _OFFSET3
 
 import data
 import oracles
@@ -219,13 +220,14 @@ def test_search_small_moduli_empty():
 
 def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     """A shape's values lie in distinct classes mod e and every other class
-    takes one generator, so a kept shape completes to v = e - len(named).
+    takes one generator, so a listed shape completes to v = e - len(named).
 
     Every leaf is kept here (the decrease test always passes), so the
     completions show.  At e = 13 the v = e-3 shape of the pair (14, 17)
     completes to a family member.  The v = e-4 shape of (14, 16) whose
-    order-3 Apery element is 3 * 14 = 42 names a value in the class of 16;
-    without the class test its walk would make v = e-3 leaves."""
+    order-3 Apery element is 3 * 14 = 42 names a value in the class of 16,
+    and its walk would make v = e-3 leaves; it is never listed, because
+    16 = 3 * 14 (mod 13) and the class table of n_i = 14 leaves out class 3."""
     monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, f: True)
     e, bound = 13, 6 * 13
     leaves = search._expand_skeleton(
@@ -233,9 +235,56 @@ def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     )
     assert [S.gens for S in leaves] == [data.SP_FAMILY[1][1]]
     assert leaves[0].v == e - 3
-    forced, named = (13, 14, 16, 31, 33, 35), (28, 30, 32, 42)
-    assert (forced, named, False) in set(search._cell_shapes(4, e, 14, bound))
-    assert search._expand_skeleton(e, forced, named, False, bound) == []
+    assert 16 % e == 42 % e == 3 and search._classes(_OFFSET3, e, (14 % e,)) == (4, 10)
+    listed = {(forced, named) for forced, named, _ in search._cell_shapes(4, e, 14, bound)}
+    assert ((13, 14, 17, 29, 32, 35), (28, 31, 34, 51)) in listed
+    assert not [forced for forced, _ in listed if forced[2] % e == 3]
+    assert ((13, 14, 16, 31, 33, 35), (28, 30, 32, 42)) not in listed
+
+
+def _shapes_on(e, a, b):
+    """Each shape on the roles (a, b), as (table verdict, real values): the
+    v = e-3 shape, its four (3, 1) shapes and, for each c in (e, 3e], the
+    two (4, 0) shapes."""
+    base, ap2 = _OFFSET3.skeleton(e, (a, b))
+    admitted = b % e in search._classes(_OFFSET3, e, (a % e,))
+    yield admitted, base + ap2
+    c3 = _OFFSET3.d2e(a, b)
+    for ap3 in c3:
+        forced = (e, a, b) + tuple(x - e for x in c3 if x != ap3)
+        yield admitted, forced + ap2 + (ap3,)
+    for shape in _FOUR_ZERO:
+        classes = search._classes(shape, e, (a % e, b % e))
+        for c in range(e + 1, 3 * e + 1):
+            yield c % e in classes, sum(shape.skeleton(e, (a, b, c)), ())
+
+
+@pytest.mark.parametrize("e", [4, 9, 10, 12, 13, 14, 17, 20])
+def test_class_table_equals_the_class_test_on_real_values(e):
+    """The slow twin of ``_classes``: for every real a, b and c in (e, 3e],
+    the table's verdict on their classes is the one-per-class test on the
+    shape's real values, for the v = e-3 shape, the (3, 1) shapes and both
+    (4, 0) shapes."""
+    seen = set()
+    for a in range(e + 1, 3 * e + 1):
+        for b in range(e + 1, 3 * e + 1):
+            for admitted, values in _shapes_on(e, a, b):
+                assert admitted == search._one_per_class(e, values), (e, a, b, values)
+                seen.add(admitted)
+    assert seen == ({False, True} if e >= 13 else {False})
+
+
+def test_class_table_is_empty_up_to_e_12():
+    """For e <= 12 no class r of n_i admits a class of b, so neither offset
+    lists a shape at any generator bound: H_R is non-decreasing at v = e-3
+    and v = e-4 for every e <= 12 (the paper's e < 12, and e = 12 too).  The
+    ordered admissible pairs (r, s) at e = 13..20 are pinned."""
+    for e in range(1, 13):
+        assert not any(search._classes(_OFFSET3, e, (r,)) for r in range(e)), e
+    for v_offset in (3, 4):
+        assert search._tasks_for(SearchConfig((1, 12), v_offset, gen_bound_per_e=1000)) == []
+    pairs = [sum(len(search._classes(_OFFSET3, e, (r,))) for r in range(e)) for e in range(13, 21)]
+    assert pairs == [24, 36, 24, 72, 96, 72, 144, 168]
 
 
 def test_search_e13_hits(sp_instances):

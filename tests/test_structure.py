@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from itertools import combinations
 
@@ -183,6 +184,27 @@ def test_chain_structure():
         assert c.not_symmetric
 
 
+@pytest.mark.parametrize(
+    "gens, emptied, ell, chain_ok",
+    [(data.CHAIN_E17, ("d_sets", 2), 2, True), (data.CHAIN_E19_POWER, ("c_sets", 3), 3, False)],
+    ids=["power-fails", "chain-fails"],
+)
+def test_chain_report_keeps_the_chain_apart_from_the_power_test(
+    monkeypatch, gens, emptied, ell, chain_ok
+):
+    """With D_ell emptied, the chain C_2..C_ell still holds but (d+1)*n_i
+    misses D_ell + e: chain_ok is true and power_in_d_ell false.  With C_3
+    emptied at ell = 3 the chain fails, and so does everything after it."""
+    S = build(list(gens))
+    tables = strata_tables(S)
+    field, level = emptied
+    patched = dataclasses.replace(tables, **{field: {**getattr(tables, field), level: ()}})
+    monkeypatch.setattr(structure, "strata_tables", lambda S: patched)
+    c = check_chain_structure(S)
+    assert c.applicable and c.ell == ell
+    assert (c.chain_ok, c.power_in_d_ell, c.ok, c.witnesses) == (chain_ok, False, False, ())
+
+
 def test_chain_not_applicable(e13):
     assert not check_chain_structure(e13).applicable  # |Ap_3| = 0
 
@@ -253,7 +275,8 @@ def test_classification_report_shape(e13):
     assert report.c3_pattern.witnesses == ((19, 24),)
     assert report.ap24_case is None
     assert report.offset3.holds
-    assert not report.offset4.applicable
+    assert report.c3_pattern.pair == (19, 24)
+    assert not report.offset4.applicable and not report.offset4.holds
     assert report.sp_params is not None and report.sp_params.p == 6
 
 
