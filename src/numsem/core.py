@@ -50,10 +50,14 @@ __all__ = [
 
 # max(e, 2) * max(gens) bounds every window the package allocates: the
 # construction closure, at most max(e-1, 2) * max(gens) bits, is dropped once
-# the Apery table is read off it, and the level sweep's windows are at most
-# e**2 bits wider.  The cached order table keeps two entries a class and a
-# pair a stall run; its fill keeps, for each of at most e levels, the set of
-# classes that stall there, at most e bits (32 * e on the min-plus path).
+# the Apery table is read off it.  The level sweep runs on a closure that
+# holds f + e, the order table's over [0, f + e] or a search leaf's, which
+# ``frobenius_window`` grows from [0, bound] to at most the construction
+# closure's width (the search refuses e * bound past the budget), and its
+# windows are at most e**2 bits wider.  The cached order table keeps two
+# entries a class and a pair a stall run; its fill keeps, for each of at most
+# e levels, the set of classes that stall there, at most e bits (32 * e on
+# the min-plus path).
 _WINDOW_BUDGET = 1 << 24
 
 

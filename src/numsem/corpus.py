@@ -32,6 +32,14 @@ def _fold(values: list[int]) -> tuple[tuple[int, ...], int, int]:
     return kept, bits, limit
 
 
+def _draw(rng: random.Random, values: list[int], top: int) -> NumericalSemigroup:
+    """The semigroup of ``values``, e first, topped up with draws from
+    (e, top] until the gcd is 1, then minimalized."""
+    while math.gcd(*values) != 1:
+        values.append(rng.randint(values[0] + 1, top))
+    return NumericalSemigroup._from_closure(*_fold(values))
+
+
 def random_semigroup(
     rng: random.Random,
     e_min: int = 10,
@@ -44,10 +52,7 @@ def random_semigroup(
     e = rng.randint(e_min, e_max)
     count = rng.randint(*picks)
     pool = [rng.randint(e + 1, span * e) for _ in range(count)]
-    values = [e] + pool
-    while math.gcd(*values) != 1:
-        values.append(rng.randint(e + 1, span * e))
-    return NumericalSemigroup._from_closure(*_fold(values))
+    return _draw(rng, [e] + pool, span * e)
 
 
 def random_dense_semigroup(
@@ -62,10 +67,7 @@ def random_dense_semigroup(
     e = rng.randint(e_min, e_max)
     count = rng.randint(max(2, e // 2), e - 1)
     pool = rng.sample(range(e + 1, 3 * e), min(count, 2 * e - 2))
-    values = [e] + pool
-    while math.gcd(*values) != 1:
-        values.append(rng.randint(e + 1, 3 * e))
-    return NumericalSemigroup._from_closure(*_fold(values))
+    return _draw(rng, [e] + pool, 3 * e)
 
 
 def random_corpus(

@@ -65,12 +65,13 @@ __all__ = [
 ]
 
 
-def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
+def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int, int, int]]:
     """Yield (n, nM, (n+1)M) as bitsets for n = 0, 1, ..., r, where r is the
-    least n >= 1 with (n+1)M = nM + e; ``gens[0]`` is e and f the Frobenius
-    number.
+    least n >= 1 with (n+1)M = nM + e; ``gens[0]`` is e, and ``bits`` is the
+    closure of ``gens``, exact over [0, limit], with its top e bits members,
+    so that limit >= f + e.
 
-    nM is exact on [0, f + (n+1)e] and (n+1)M on the window one e wider.
+    nM is exact on [0, limit + ne] and (n+1)M on the window one e wider.
     Every element of order n, and the smallest element of nM in each residue
     class, lies in the first window: an integer above f + ne is in nM, being
     ne plus a member.  A step is exact because x is in (n+1)M iff x - g is in
@@ -84,8 +85,8 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
     """
     e = gens[0]
     hard_stop = max(1, e - 1)
-    base = closure_bits(gens, f + 2 * e)
-    here, above = base & window_mask(f + e), base & ~1
+    # Every integer above limit - e is a member, so the e above limit are too.
+    here, above = bits, (bits | ((1 << e) - 1) << limit + 1) & ~1
     n = 0
     while True:
         yield n, here, above
@@ -96,7 +97,7 @@ def _levels(gens: tuple[int, ...], f: int) -> Iterator[tuple[int, int, int]]:
                 "order filtration did not stabilize by level %d" % hard_stop
             )
         n += 1
-        here, above = above, shift_sum(above, gens, window_mask(f + (n + 2) * e))
+        here, above = above, shift_sum(above, gens, window_mask(limit + (n + 1) * e))
 
 
 # OrderTable takes the min-plus fill when the window f + e is more than this
@@ -124,7 +125,8 @@ def _pack(column: array) -> int:
 
 
 def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
-    """The stalls at levels 0..r, H(0..r) and C_1..C_r from the level sweep.
+    """The stalls at levels 0..r, H(0..r) and C_1..C_r from the level sweep,
+    run on the table's one closure of the generators, over [0, f + e].
 
     Each level n is read off its stratum nM minus (n+1)M: H(n) is its size
     and C_n its elements outside (n-1)M + e.  The smallest element of nM in
@@ -143,7 +145,8 @@ def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
     started = below = stratum = 0
-    for n, here, above in _levels(S.gens, S.f):
+    limit = S.f + e
+    for n, here, above in _levels(S.gens, closure_bits(S.gens, limit), limit):
         if n:
             moved = fold_classes(stratum, e)
             if moved.bit_count() != values[n - 1]:

@@ -35,8 +35,8 @@ Three layers:
   every shape of v = e-3 and the (4, 0) shapes of v = e-4, whose leaves are
   hits as they stand, each made from the closure the walk holds for it.
   The leaves of the (3, 1) shapes are decided before any is made: the
-  walk's closure is grown to read f, the levels are swept on the
-  generators and f up to their first decrease, and only a hit is made.
+  walk's closure is grown past f + e, the levels are swept on that closure
+  up to their first decrease, and only a hit is made, from the same one.
   Every hit is re-verified by a full order table, whose H_R(1) = v check
   backs up the pruning and whose decrease backs up the count, and then
   keeps only the Hilbert profile that table proved: the table itself is
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from ._bitset import add_generator, bits_to_tuple, frobenius_window, largest_missing
+from ._bitset import add_generator, bits_to_tuple, frobenius_window
 from .core import _WINDOW_BUDGET, NumericalSemigroup, build
 from .errors import (
     BadRange,
@@ -287,14 +287,16 @@ class SearchConfig:
         return bound
 
 
-def _candidate_is_hit(gens: tuple[int, ...], f: int) -> bool:
+def _candidate_is_hit(gens: tuple[int, ...], bits: int, limit: int) -> bool:
     """Fast check that H_R of the semigroup of the ascending, minimal
-    ``gens``, whose Frobenius number is f, decreases: the order filtration
-    is swept up to its first decrease, or to stabilization, after which the
-    function never moves again.  It reads no Apery table, so a leaf is
-    decided before it is made."""
+    ``gens`` decreases, from their closure ``bits``, exact over [0, limit]
+    and with its top e bits members: the order filtration is swept on that
+    closure up to its first decrease, or to stabilization, after which the
+    function never moves again.  It reads no Apery table and makes no
+    closure, so a leaf is decided on the one its walk holds, before it is
+    made."""
     h_prev = 1  # H_R(0)
-    for _, here, above in _levels(gens, f):
+    for _, here, above in _levels(gens, bits, limit):
         h_cur = (here & ~above).bit_count()
         if h_cur < h_prev:
             return True
@@ -312,17 +314,17 @@ def _expand_skeleton(
     other), and each other class takes one generator: v = e - len(named).
     The forced generators, then one value per remaining class chosen
     depth-first, are folded through ``add_generator`` over [0, bound].
-    Redundancy is monotone (more
-    generators never make a redundant one minimal again), so a failed step
-    cuts its whole prefix, and a failed root drops the shape.  A surviving
-    leaf's fold is its minimality proof, and its closure is exact over
-    [0, bound].  A leaf of a shape not flagged ``decreases`` is decided
-    before it is made: its closure grows until it holds f + e (past the
-    bound when an Apery element lies above it), f is read off it, and
-    ``_candidate_is_hit`` sweeps the levels of (gens, f).  Only a hit is made
-    into a semigroup, from the closure the walk holds for it.  Every class
-    holds a generator or a named sum of generators, so the gcd is 1, and the
-    Apery checks raising at a hit is an engine fault.
+    Redundancy is monotone (more generators never make a redundant one
+    minimal again), so a failed step cuts its whole prefix, and a failed
+    root drops the shape.  A surviving leaf's fold is its minimality proof,
+    and its closure, exact over [0, bound], is grown until it holds f + e
+    (past the bound when an Apery element lies above it).  A leaf of a
+    shape not flagged ``decreases`` is decided before it is made:
+    ``_candidate_is_hit`` sweeps the levels on that closure.  Only a hit is
+    made into a semigroup, from the same closure: each leaf's generators
+    are closed once, by its walk.  Every class holds a generator or a named
+    sum of generators, so the gcd is 1, and the Apery checks raising at a
+    hit is an engine fault.
 
     A leaf of a shape flagged ``decreases`` is a hit without a sweep.  Every
     minimal generator but e lies in Ap_1, so the Apery elements of order
@@ -356,12 +358,10 @@ def _expand_skeleton(
     while stack:
         depth, gens, closure, gen_bits = stack.pop()
         if depth == len(choices):
-            gens, limit = tuple(sorted(gens)), bound
-            if not decreases:
-                closure, limit = frobenius_window(closure, gens, bound)
-                if not _candidate_is_hit(gens, largest_missing(closure, limit)):
-                    continue
-            hits.append(NumericalSemigroup._from_closure(gens, closure, limit))
+            gens = tuple(sorted(gens))
+            closure, limit = frobenius_window(closure, gens, bound)
+            if decreases or _candidate_is_hit(gens, closure, limit):
+                hits.append(NumericalSemigroup._from_closure(gens, closure, limit))
             continue
         # The closure holds e, so a reached value of a class leaves out every
         # later one too: what remains is the values below the first reached.

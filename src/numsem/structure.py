@@ -345,11 +345,11 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
     ap1, ap2 = _ap1(S), set(strata.strata[2])
     c3 = _set(tables, "c", 3)
     if profile == (4, 0):
+        # Cases (b) and (d) of the |Ap_2| = 4 taxonomy with C_3 = D_2 + e; no
+        # roles match both, as their Ap_2 would need a + c = 2c.
         d2_shift = {x + S.e for x in _set(tables, "d", 2)}
-        wits = []
-        for roles in permutations(_roles(ap1, ap2), 3):
-            if any(shape.pinned(roles, ap2) == c3 == d2_shift for shape in _FOUR_ZERO):
-                wits.append(roles)
+        cases = _ap24_candidates(ap1, ap2, c3) if c3 == d2_shift else ()
+        wits = [roles for case, roles, full in cases if case in "bd" and full]
         level = 2 if wits else None
         target = 2 in hp.decreasing_levels
     else:

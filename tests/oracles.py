@@ -264,7 +264,7 @@ def search_shape_free(e, v, bound):
     through ``add_generator`` (an ascending fold fails at the first
     redundant value), and gives each leaf the search's leaf test.
     """
-    from numsem._bitset import add_generator, frobenius_window, largest_missing
+    from numsem._bitset import add_generator, frobenius_window
     from numsem.search import _candidate_is_hit
 
     hits = []
@@ -274,8 +274,7 @@ def search_shape_free(e, v, bound):
         gens, closure, classes = stack.pop()
         if len(gens) == v:
             if math.gcd(*gens) == 1:
-                bits, limit = frobenius_window(closure, gens, bound)
-                if _candidate_is_hit(gens, largest_missing(bits, limit)):
+                if _candidate_is_hit(gens, *frobenius_window(closure, gens, bound)):
                     hits.append(gens)
             continue
         for x in range(gens[-1] + 1, bound + 1):

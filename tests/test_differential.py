@@ -20,10 +20,13 @@ from numsem import (
     InternalInconsistency,
     NonMinimal,
     SearchConfig,
+    SpParameters,
     apery_strata,
     audit_delta,
     build,
+    check_offset3,
     classify_c3,
+    construct_sp,
     hilbert_function,
     induced_elements,
     is_symmetric,
@@ -31,12 +34,19 @@ from numsem import (
     maximal_representations,
     order_of,
     order_table,
+    recover_sp_parameters,
     search_decreasing,
     strata_tables,
     support_size,
 )
 from numsem import core, filtration, grading, search, structure
-from numsem._bitset import add_generator, bits_to_tuple, closure_bits, fold_classes
+from numsem._bitset import (
+    add_generator,
+    bits_to_tuple,
+    closure_bits,
+    fold_classes,
+    frobenius_window,
+)
 from numsem.corpus import minimalize
 
 import data
@@ -143,7 +153,9 @@ def check_tables(S):
 
 def check_leaf(S):
     """The search's early-exit sweep against the full order table."""
-    assert search._candidate_is_hit(S.gens, S.f) == hilbert_function(S).is_decreasing
+    limit = S.f + S.e
+    hit = search._candidate_is_hit(S.gens, closure_bits(S.gens, limit), limit)
+    assert hit == hilbert_function(S).is_decreasing
 
 
 CHECKS = [
@@ -330,6 +342,26 @@ def test_fills_agree_around_the_threshold(S):
             patch.setattr(grading, "_MIN_PLUS_ABOVE", above)
             tables.append(_table_fields(S.gens))
     assert tables[0] == tables[1]
+
+
+def _strata(gens, bits, limit):
+    """The strata nM minus (n+1)M that the level sweep yields on a closure."""
+    return [here & ~above for _, here, above in grading._levels(gens, bits, limit)]
+
+
+def test_level_sweep_does_not_depend_on_its_window(property_corpus):
+    """The strata of the level sweep, and the level it stops at, are the
+    same on every closure it may be given: exact over [0, limit] with
+    limit = f + e (the order table's), f + 2e, 2(f + e), or the window that
+    ``frobenius_window`` grows from the fold over [0, 2 * max(gens)] (a
+    search leaf's)."""
+    for S in property_corpus + [build([1]), build([2, 3]), build([100, 101])]:
+        gens, f, e = S.gens, S.f, S.e
+        windows = [(closure_bits(gens, n), n) for n in (f + e, f + 2 * e, 2 * (f + e))]
+        top = 2 * gens[-1]
+        windows.append(frobenius_window(closure_bits(gens, top), gens, top))
+        want, *rest = [_strata(gens, *window) for window in windows]
+        assert rest == [want] * 3, gens
 
 
 def _spread(bits, width):
@@ -575,8 +607,8 @@ def _feed(change):
     def fixture(monkeypatch):
         real = grading._levels
 
-        def levels(gens, f):
-            for n, here, above in real(gens, f):
+        def levels(gens, bits, limit):
+            for n, here, above in real(gens, bits, limit):
                 yield n, here, change(n, here, above)
 
         monkeypatch.setattr(grading, "_levels", levels)
@@ -668,7 +700,7 @@ def _non_minimal_entry(monkeypatch):
 
 
 def _accept_every_leaf(monkeypatch):
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, f: True)
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, bits, limit: True)
     return lambda: search_decreasing(SearchConfig((13, 13), 4, gen_bound_per_e=3))
 
 
@@ -678,8 +710,8 @@ def _corrupt_hit_proof(monkeypatch):
     the search module's own reference to the levels, sees the true ones."""
     real = grading._levels
 
-    def levels(gens, f):
-        for n, here, above in real(gens, f):
+    def levels(gens, bits, limit):
+        for n, here, above in real(gens, bits, limit):
             yield n, here, above | (1 << gens[1]) if n == 1 else above
 
     monkeypatch.setattr(grading, "_levels", levels)
@@ -718,6 +750,23 @@ def _no_c3_witness(monkeypatch):
     return lambda: classify_c3(build(list(data.E13)))
 
 
+def _sp_sum_on_apery(monkeypatch):
+    """The p = 1 family member with its order table cached by
+    ``check_offset3``, and then the Apery element of the class of
+    2a + 2b = 62 set to 62 itself: the pattern still reads off the cached
+    table, and 62 has no Apery element below it to drop alpha from."""
+
+    def run():
+        params = SpParameters(1, 1, data.SP_FAMILY[1][0], 2, 2, 3)
+        S = construct_sp(params)
+        check_offset3(S)
+        value = 2 * params.n_i + 2 * params.n_j
+        S._ap_class[value % 13] = value
+        return recover_sp_parameters(S)
+
+    return run
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -750,6 +799,7 @@ def _no_c3_witness(monkeypatch):
         (_non_minimal_entry, r"H_R\(1\) = 2 != v = 3"),
         (_order_one_too_high, "no representation of 57 at order 4"),
         (_no_c3_witness, "no witness pair"),
+        (_sp_sum_on_apery, "no Apery element below 62"),
     ],
     ids=[
         "stabilization",
@@ -770,6 +820,7 @@ def _no_c3_witness(monkeypatch):
         "embedding_dimension",
         "maximal_representation",
         "c3_witness",
+        "sp_drop",
     ],
 )
 def test_internal_checks_raise(monkeypatch, corrupt, message):

@@ -32,8 +32,8 @@ from numsem import (
     sp_generator_list,
     strata_tables,
 )
-from numsem import search
-from numsem._bitset import add_generator
+from numsem import grading, search
+from numsem._bitset import add_generator, largest_missing
 from numsem.structure import _FOUR_ZERO, _OFFSET3
 
 import data
@@ -228,7 +228,7 @@ def test_expand_skeleton_drops_shapes_with_two_values_in_one_class(monkeypatch):
     order-3 Apery element is 3 * 14 = 42 names a value in the class of 16,
     and its walk would make v = e-3 leaves; it is never listed, because
     16 = 3 * 14 (mod 13) and the class table of n_i = 14 leaves out class 3."""
-    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, f: True)
+    monkeypatch.setattr(search, "_candidate_is_hit", lambda gens, bits, limit: True)
     e, bound = 13, 6 * 13
     leaves = search._expand_skeleton(
         e, (13, 14, 17, 29, 32, 35, 38), (28, 31, 34), False, bound
@@ -435,7 +435,9 @@ def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
     real = search._candidate_is_hit
     swept = []
     monkeypatch.setattr(
-        search, "_candidate_is_hit", lambda gens, f: swept.append((gens, f)) or real(gens, f)
+        search,
+        "_candidate_is_hit",
+        lambda gens, bits, limit: swept.append((gens, bits, limit)) or real(gens, bits, limit),
     )
     hits, flagged = set(), []
     for v_offset, e, n_i, bound in search._tasks_for(cfg):
@@ -446,11 +448,32 @@ def test_flagged_shapes_decrease_at_level_2(monkeypatch, cfg):
                 flagged += swept[start:]
     assert sorted(hits) == want
     assert flagged
-    for gens, f in flagged:
+    for gens, bits, limit in flagged:
         S = build(list(gens))
-        assert real(gens, f) and f == S.f, gens
+        assert real(gens, bits, limit) and largest_missing(bits, limit) == S.f, gens
         assert hilbert_function(S).decreasing_levels[0] == 2, gens
-    assert {gens[0] for gens, f in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
+    assert {gens[0] for gens, _, _ in flagged} == set(range(cfg.e_range[0], cfg.e_range[1] + 1))
+
+
+def test_swept_leaves_are_closed_once_by_their_walk(monkeypatch):
+    """The level sweep makes no closure: a swept leaf is decided on the one
+    its walk holds, so at v = e-4, e = 16..18, bound 60 only the proof's
+    order table closes generators, once for each hit it proves."""
+    real_closure, real_hit = grading.closure_bits, search._candidate_is_hit
+    closed, swept = [], []
+
+    def hit(gens, bits, limit):
+        before = len(closed)
+        out = real_hit(gens, bits, limit)
+        swept.append(len(closed) - before)
+        return out
+
+    monkeypatch.setattr(grading, "closure_bits", lambda *a: closed.append(a[0]) or real_closure(*a))
+    monkeypatch.setattr(search, "_candidate_is_hit", hit)
+    hits = search_decreasing(SearchConfig((16, 18), 4, gen_bound=60))
+    assert len(hits) == 88
+    assert closed == [S.gens for S in hits]
+    assert swept and not any(swept)
 
 
 @pytest.mark.parametrize(
