@@ -15,7 +15,7 @@ membership per generator inside a closure step, not one per position.
 
 from __future__ import annotations
 
-import sys
+import struct
 from array import array
 from itertools import compress
 from typing import Iterable, Sequence
@@ -151,9 +151,8 @@ def bits_to_tuple(bits: int) -> tuple[int, ...]:
     count = bits.bit_count()
     if count == 1:
         return (bits.bit_length() - 1,)
-    words = array("Q", bits.to_bytes(8 * ((bits.bit_length() + 63) // 64), "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
+    n = (bits.bit_length() + 63) // 64
+    words = struct.unpack("<%dQ" % n, bits.to_bytes(8 * n, "little"))
     out = []
     if 8 * count < len(words):
         for i in compress(range(len(words)), words):

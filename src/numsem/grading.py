@@ -20,9 +20,10 @@ of the filtration (Cortadellas Benitez and Zarzuela Armengou, J. Algebra
 lookup in them.
 
 Two fills produce the same record, and neither keeps a level's column of
-smallest elements past that level.  The bitset fill sweeps the levels hM
-as whole-window bitsets, three at a time; its windows span about f + r*e
-bits, and the classes that move at a level are its stratum folded mod e.
+smallest elements past that level.  The bitset fill sweeps the levels hM,
+each shifted down by he, as bitsets on the table's one window [0, f + e],
+a few at a time, and the classes that move at a level are its stratum
+folded mod e.
 The min-plus fill derives each column from the one before with no window,
 on the column packed as one int with a 32-bit field per class: a level is
 v - 1 rotations of it and field-wise mins, each a whole-int operation, and
@@ -38,7 +39,7 @@ tests.
 
 from __future__ import annotations
 
-import sys
+import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -65,19 +66,22 @@ __all__ = [
 ]
 
 
-def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (n, nM, (n+1)M) as bitsets for n = 0, 1, ..., r, where r is the
-    least n >= 1 with (n+1)M = nM + e; ``gens[0]`` is e, and ``bits`` is the
-    closure of ``gens``, exact over [0, limit], with its top e bits members,
-    so that limit >= f + e.
+def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int, int]]:
+    """Yield (T_n, the stratum of level n less ne) as bitsets over [0, limit]
+    for n = 0, 1, ..., r, where T_n = nM - ne and r is the least n >= 1 with
+    (r+1)M = rM + e; ``gens[0]`` is e, and ``bits`` is the closure of
+    ``gens``, exact over [0, limit], with its top e bits members, so that
+    limit >= f + e.
 
-    nM is exact on [0, limit + ne] and (n+1)M on the window one e wider.
-    Every element of order n, and the smallest element of nM in each residue
-    class, lies in the first window: an integer above f + ne is in nM, being
-    ne plus a member.  A step is exact because x is in (n+1)M iff x - g is in
-    nM for some generator g, and g >= e.  Comparing the windows decides
-    (r+1)M = rM + e, as both sets hold every integer above f + (r+1)e; once
-    the identity holds at r it holds at every higher level, since
+    T_0 is S and T_1 is M - e.  x is in T_{n+1} iff x + e - g is in T_n for
+    some generator g, so T_{n+1} is the sum of T_n and the generators less
+    e, and a step is exact over [0, limit] as g >= e.  Every T_n holds every
+    integer above f, being ne plus a member, and T_n is inside T_{n+1}, as
+    nM + e is inside (n+1)M.  The stratum nM minus (n+1)M less ne is T_n
+    minus T_{n+1} + e: an element of order n is at most f + (n+1)e, so the
+    stratum lies in [0, f + e].  (r+1)M = rM + e iff T_{r+1} = T_r, which
+    the window decides, as both hold every integer above f; once the
+    identity holds at r it holds at every higher level, since
     (r+2)M = M + (r+1)M = M + rM + e = (r+1)M + e.  It holds by r = e - 1:
     among r+2 >= e+1 partial sums of a representation two agree mod e, and
     the block between them is a multiple of e with at least as many copies
@@ -85,19 +89,20 @@ def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int,
     """
     e = gens[0]
     hard_stop = max(1, e - 1)
+    mask = window_mask(limit + e)
     # Every integer above limit - e is a member, so the e above limit are too.
-    here, above = bits, (bits | ((1 << e) - 1) << limit + 1) & ~1
+    here, above = bits, (bits & ~1 | ((1 << e) - 1) << limit + 1) >> e
     n = 0
     while True:
-        yield n, here, above
-        if n and above == here << e:
+        yield here, here & ~(above << e)
+        if n and above == here:
             return
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
             )
         n += 1
-        here, above = above, shift_sum(above, gens, window_mask(limit + (n + 1) * e))
+        here, above = above, shift_sum(above, gens, mask) >> e
 
 
 # OrderTable takes the min-plus fill when the window f + e is more than this
@@ -118,37 +123,36 @@ _MIN_PLUS_ABOVE = 24
 def _pack(column: array) -> int:
     """A column as one int with a 32-bit field a class: class c in bits
     32c..32c+31."""
-    if sys.byteorder == "big":
-        column = array("i", column)
-        column.byteswap()
-    return int.from_bytes(column.tobytes(), "little")
+    return int.from_bytes(struct.pack("<%di" % len(column), *column), "little")
 
 
 def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
     """The stalls at levels 0..r, H(0..r) and C_1..C_r from the level sweep,
     run on the table's one closure of the generators, over [0, f + e].
 
-    Each level n is read off its stratum nM minus (n+1)M: H(n) is its size
-    and C_n its elements outside (n-1)M + e.  The smallest element of nM in
-    a class moves by e at level n iff the stratum meets the class: its
-    element x there is that smallest one, as every larger member of the
-    class is in (n-1)M + e, inside nM.  So a class holds at most one
-    element of each order, and the fill checks that the stratum meets as
-    many classes as it has elements.  The stratum is folded onto its classes
-    (bit c for class c) in whole-int steps; no Python step is taken per
-    class.  A class stalls at n when it moved at a level below n but does
-    not move at n.  At r every class moves, as (r+1)M = rM + e, the stop
-    test of ``_levels``.
+    Each level n is read off the stratum nM minus (n+1)M, less ne, that
+    ``_levels`` yields: H(n) is its size, and C_n, its elements outside
+    (n-1)M + e, is the stratum minus T_{n-1} shifted back up by ne; y and
+    y + ne share a class, so the shifted stratum folds as it is.  The
+    smallest element of nM in a class moves by e at level n iff the stratum
+    meets the class: its element x there is that smallest one, as every
+    larger member of the class is in (n-1)M + e, inside nM.  So a class
+    holds at most one element of each order, and the fill checks that the
+    stratum meets as many classes as it has elements.  The stratum is
+    folded onto its classes (bit c for class c) in whole-int steps; no
+    Python step is taken per class.  A class stalls at n when it moved at a
+    level below n but does not move at n.  At r every class moves, as
+    (r+1)M = rM + e, the stop test of ``_levels``.
     """
     e = S.e
     stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    started = below = stratum = 0
+    started = below = last = 0
     limit = S.f + e
-    for n, here, above in _levels(S.gens, closure_bits(S.gens, limit), limit):
+    for n, (here, stratum) in enumerate(_levels(S.gens, closure_bits(S.gens, limit), limit)):
         if n:
-            moved = fold_classes(stratum, e)
+            moved = fold_classes(last, e)
             if moved.bit_count() != values[n - 1]:
                 raise InternalInconsistency(
                     "%d classes leave level %d, which holds %d elements"
@@ -156,11 +160,9 @@ def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
                 )
             started |= moved
             stalls.append(started ^ moved)
-        stratum = here & ~above
+            c_sets[n] = bits_to_tuple((stratum & ~below) << n * e)
         values.append(stratum.bit_count())
-        if n:
-            c_sets[n] = bits_to_tuple(stratum & ~(below << e))
-        below = here
+        below, last = here, stratum
     stalls.append(0)
     return stalls, values, c_sets
 

@@ -139,7 +139,8 @@ def residue_admissible(e: int, h: int) -> ResidueRow:
     extra = tuple(x % e for x in (2 * h + 2, h + 3, 3 * h + 1, 2 * h + 3, 3 * h + 2))
     # the v = e-3 shape on (1, h) has the classes of 0 and ``base``
     distinct = h in _classes(_OFFSET3, e, (1,))
-    covered = distinct and set(range(1, e)) - set(base) <= set(extra)
+    # the classes lie in [0, e): they cover 1..e-1 iff e - 1 distinct ones are nonzero
+    covered = distinct and len(set(base + extra) - {0}) == e - 1
     return ResidueRow(e, h, base, extra, distinct and covered)
 
 
@@ -272,6 +273,8 @@ class SearchConfig:
             raise BadRange("set exactly one of gen_bound / gen_bound_per_e")
         if min(self.e_range) < 1:
             raise BadRange("multiplicities must be at least 1")
+        if self.e_range[0] > self.e_range[1]:
+            raise BadRange("e-range %d..%d runs backwards" % tuple(self.e_range))
         if self.v_offset not in (3, 4):
             raise BadRange("v_offset must be 3 or 4")
         if self.workers < 1:
@@ -291,13 +294,13 @@ def _candidate_is_hit(gens: tuple[int, ...], bits: int, limit: int) -> bool:
     """Fast check that H_R of the semigroup of the ascending, minimal
     ``gens`` decreases, from their closure ``bits``, exact over [0, limit]
     and with its top e bits members: the order filtration is swept on that
-    closure up to its first decrease, or to stabilization, after which the
-    function never moves again.  It reads no Apery table and makes no
-    closure, so a leaf is decided on the one its walk holds, before it is
-    made."""
+    closure's window up to its first decrease, or to stabilization, after
+    which the function never moves again; H_R(n) is the size of the stratum
+    ``_levels`` yields at n.  It reads no Apery table and makes no closure,
+    so a leaf is decided on the one its walk holds, before it is made."""
     h_prev = 1  # H_R(0)
-    for _, here, above in _levels(gens, bits, limit):
-        h_cur = (here & ~above).bit_count()
+    for _, stratum in _levels(gens, bits, limit):
+        h_cur = stratum.bit_count()
         if h_cur < h_prev:
             return True
         h_prev = h_cur

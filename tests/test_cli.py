@@ -182,6 +182,17 @@ def test_search_multiplicity_below_1_exit_1(capsys, argv):
     assert err == ""
 
 
+@pytest.mark.parametrize("form", ["text", "json", "csv"])
+def test_search_reversed_range_exit_1(capsys, form):
+    """A reversed --e-range is an input error, not a search with no hits."""
+    code, out, err = run(
+        ["search", "--e-range", "14..13", "--v-offset", "3", "--format", form], capsys
+    )
+    assert code == 1
+    assert "count" not in out
+    assert "BadRange" in (err if form == "csv" else out)
+
+
 def test_usage_error_exit(capsys):
     code, out, err = run(["info"], capsys)
     assert code == 1

@@ -8,6 +8,7 @@ instances.
 """
 
 import dataclasses
+import itertools
 import math
 import time
 from array import array
@@ -345,8 +346,9 @@ def test_fills_agree_around_the_threshold(S):
 
 
 def _strata(gens, bits, limit):
-    """The strata nM minus (n+1)M that the level sweep yields on a closure."""
-    return [here & ~above for _, here, above in grading._levels(gens, bits, limit)]
+    """The strata nM minus (n+1)M, less ne, that the level sweep yields on a
+    closure."""
+    return [stratum for _, stratum in grading._levels(gens, bits, limit)]
 
 
 def test_level_sweep_does_not_depend_on_its_window(property_corpus):
@@ -362,6 +364,15 @@ def test_level_sweep_does_not_depend_on_its_window(property_corpus):
         windows.append(frobenius_window(closure_bits(gens, top), gens, top))
         want, *rest = [_strata(gens, *window) for window in windows]
         assert rest == [want] * 3, gens
+
+
+def test_level_sweep_stays_in_its_window(property_corpus):
+    """Every set the level sweep yields, at every level, fits the caller's
+    one window [0, limit]: no int is wider than limit + 1 bits."""
+    for S in property_corpus + [build([1]), build([2, 3]), build([100, 101])]:
+        limit = S.f + S.e
+        for level in grading._levels(S.gens, closure_bits(S.gens, limit), limit):
+            assert max(x.bit_length() for x in level) <= limit + 1, S.gens
 
 
 def _spread(bits, width):
@@ -595,21 +606,27 @@ def test_apery_theorem_check_raises(monkeypatch, shift):
 
 
 def _stall(monkeypatch):
-    """Never stabilize: level n+1 always holds 0, level n << e never does."""
-    real = grading.shift_sum
-    monkeypatch.setattr(grading, "shift_sum", lambda *args: real(*args) | 1)
+    """Never stabilize: every other step sets the bit just above the window,
+    so T_{n+1} and T_n always differ there."""
+    real, steps = grading.shift_sum, itertools.count()
+    monkeypatch.setattr(
+        grading,
+        "shift_sum",
+        lambda bits, gens, mask: real(bits, gens, mask) | (mask + 1) * (next(steps) % 2),
+    )
     return lambda: hilbert_function(build(list(data.E13)))
 
 
 def _feed(change):
-    """Let ``change(n, nM, (n+1)M)`` rewrite the level n+1 the table sees."""
+    """Let ``change(n, stratum)`` rewrite the stratum of level n, less ne,
+    that the table sees."""
 
     def fixture(monkeypatch):
         real = grading._levels
 
         def levels(gens, bits, limit):
-            for n, here, above in real(gens, bits, limit):
-                yield n, here, change(n, here, above)
+            for n, (here, stratum) in enumerate(real(gens, bits, limit)):
+                yield here, change(n, stratum)
 
         monkeypatch.setattr(grading, "_levels", levels)
         return lambda: hilbert_function(build(list(data.E13)))
@@ -711,8 +728,8 @@ def _corrupt_hit_proof(monkeypatch):
     real = grading._levels
 
     def levels(gens, bits, limit):
-        for n, here, above in real(gens, bits, limit):
-            yield n, here, above | (1 << gens[1]) if n == 1 else above
+        for n, (here, stratum) in enumerate(real(gens, bits, limit)):
+            yield here, stratum & ~(1 << gens[1] - gens[0]) if n == 1 else stratum
 
     monkeypatch.setattr(grading, "_levels", levels)
     return lambda: search_decreasing(SearchConfig((13, 13), 3, gen_bound_per_e=4))
@@ -770,15 +787,18 @@ def _sp_sum_on_apery(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_stall, "did not stabilize"),
+        (_stall, "did not stabilize by level 12"),
         # H_R(r) = e - 1 at the level r = 5 where E13 is stable.
         (_refill(lambda stalls, values, c_sets: values.__setitem__(5, 12)), "H_R"),
         # The Apery element 19 of E13 never gets an order.
-        (_feed(lambda n, here, above: above | (1 << 19) if n == 1 else above), "Apery strata"),
+        (
+            _feed(lambda n, stratum: stratum & ~(1 << 19 - 13) if n == 1 else stratum),
+            "Apery strata",
+        ),
         # 2e = 26 leaves 2M, so stratum 1 of E13 holds two elements of class 0,
         # while its class leaves level 1 once.
         (
-            _feed(lambda n, here, above: above & ~(1 << 26) if n == 1 else above),
+            _feed(lambda n, stratum: stratum | 1 << 26 - 13 if n == 1 else stratum),
             "classes leave level",
         ),
         # 57 = 44 + e, a landing in C_3: its class 5 moves at level 1, where

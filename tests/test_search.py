@@ -181,8 +181,10 @@ def test_search_config_validation():
 
 
 def test_search_empty_range():
-    cfg = SearchConfig(e_range=(12, 10), v_offset=3, gen_bound_per_e=20)
-    assert search_decreasing(cfg) == []
+    """A range whose low end passes its high end is refused: searched, it
+    would list no hit, which reads as a result."""
+    with pytest.raises(BadRange, match="12..10 runs backwards"):
+        SearchConfig(e_range=(12, 10), v_offset=3, gen_bound_per_e=20)
 
 
 def test_search_refuses_bounds_over_the_window_budget(monkeypatch):
@@ -198,7 +200,8 @@ def test_search_refuses_bounds_over_the_window_budget(monkeypatch):
     for e_range in [(13, 13), (12, 13)]:
         with pytest.raises(ResourceLimit, match="window budget"):
             search_decreasing(SearchConfig(e_range, 3, gen_bound=1290556))
-    assert search_decreasing(SearchConfig((13, 12), 3, gen_bound_per_e=10**6)) == []
+    with pytest.raises(BadRange, match="backwards"):
+        SearchConfig((13, 12), 3, gen_bound_per_e=10**6)
 
 
 @pytest.mark.parametrize(
