@@ -56,8 +56,9 @@ __all__ = [
 # closure's width (the search refuses e * bound past the budget); no level's
 # window is wider than its closure's plus e.  The cached order table keeps two
 # entries a class and a pair a stall run; its fill keeps, for each of at most
-# e levels, the set of classes that stall there, at most e bits (32 * e on
-# the min-plus path).
+# e levels, the set of classes that stall there, at most e bits (w * e on
+# the min-plus path, whose field width w that fill derives from the Apery
+# table, not from this budget).
 _WINDOW_BUDGET = 1 << 24
 
 

@@ -25,25 +25,24 @@ each shifted down by he, as bitsets on the table's one window [0, f + e],
 a few at a time, and the classes that move at a level are its stratum
 folded mod e.
 The min-plus fill derives each column from the one before with no window,
-on the column packed as one int with a 32-bit field per class: a level is
+on the column packed as one int with a w-bit field per class: a level is
 v - 1 rotations of it and field-wise mins, each a whole-int operation, and
 the classes that move are the fields that grow.  No field overflows or
-borrows into the next, as ``ResourceLimit`` keeps every column entry below
-2**25 and every min-plus candidate below 2**26, far below the top bit
-2**31 of a field.  The table takes the min-plus fill when the window f + e
-is more than ``_MIN_PLUS_ABOVE`` times e * v (the two-generator ladders,
-whose windows are about e**2 bits, and other very sparse semigroups), and
-the bitset fill otherwise; each is the other's differential twin in the
-tests.
+borrows into the next, as the fill derives w from the input: every column
+entry is at most max(Ap) + e * e and every min-plus candidate at most that
+plus max(gens), and w is one bit more than that bound takes, so the top
+bit of a field stays clear.  The table takes the min-plus fill when the
+window f + e is more than ``_MIN_PLUS_ABOVE`` times e * v (the
+two-generator ladders, whose windows are about e**2 bits, and other very
+sparse semigroups), and the bitset fill otherwise; each is the other's
+differential twin in the tests.
 """
 
 from __future__ import annotations
 
-import struct
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, zip_longest
 from typing import Iterator
 
 from ._bitset import bits_to_tuple, closure_bits, fold_classes, shift_sum, window_mask
@@ -111,19 +110,17 @@ def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int,
 # draws with e = 5..160, 300 sparse ones (one or two generators from
 # (e, 3e]), 60 at e = 200 and 400 as in perfbench's wide workload and four
 # ladders; the median min-plus time over the bitset time, by ratio
-# (f + e) / (e * v):
+# (f + e) / (e * v), each input's quotient the median of three scans:
 #
 #   ratio <= 1     2     3     4     5     6     7     8     10    12
-#   time     2.40  1.85  1.64  1.52  1.43  1.37  1.35  1.30  1.26  1.26
-#   ratio <= 16    20    24    28    32    40    48    64    more
-#   time     1.25  1.12  1.00  0.93  0.81  0.71  0.63  0.58  0.45
-_MIN_PLUS_ABOVE = 24
-
-
-def _pack(column: array) -> int:
-    """A column as one int with a 32-bit field a class: class c in bits
-    32c..32c+31."""
-    return int.from_bytes(struct.pack("<%di" % len(column), *column), "little")
+#   time     3.01  2.25  1.97  1.80  1.69  1.58  1.52  1.42  1.38  1.24
+#   ratio <= 16    18    20    24    28    32    40    48    64    more
+#   time     1.13  1.01  0.93  0.89  0.99  0.93  0.69  0.67  0.59  0.30
+#
+# Between 18 and 20 the inputs whose bitset fill takes under 70 microseconds
+# still run 1.1 to 1.2 times as long on the min-plus fill, so the crossover
+# is taken at 20.
+_MIN_PLUS_ABOVE = 20
 
 
 def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
@@ -167,9 +164,9 @@ def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
     return stalls, values, c_sets
 
 
-def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
+def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, int]:
     """What ``_bitset_fill`` returns, from the columns alone, with no window,
-    the stall of class c at bit 32c.
+    the stall of class c at bit w * c, and the field width w.
 
     Column n holds the smallest element of nM in each class.  (n+1)M is the
     union of g + nM over the generators g, so column n + 1 is the min over g
@@ -182,29 +179,38 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
     n - 1.  A move of any other size raises, and so does a sweep past level
     e - 1, as in ``_levels``.
 
-    The recurrence runs on whole columns, each one int with a 32-bit field
-    a class (class c in bits 32c..32c+31): a shift by g is a rotation of the
+    The recurrence runs on whole columns, each one int with a w-bit field
+    a class (class c in bits wc..wc+w-1): a shift by g is a rotation of the
     fields by g mod e plus g in every field, and the min of two columns is
     one borrow test of all fields at once.  No field overflows or borrows
-    into the next: ``ResourceLimit`` keeps e * max(gens) <= 2**24, so an
-    Apery element is at most (e-1) * max(gens) + 1 <= 2**24, a column entry
-    at most that plus (e-1) * e < 2**25, and a candidate at most that plus a
-    generator < 2**26, below the top bit 2**31 of a field; a field with its
-    top bit set minus another field never goes below 0.  Only the column of
-    the current level is kept.
+    into the next: column 0 is the Apery table, a level adds at most e to
+    an entry, and the sweep stops by level max(1, e - 1) <= e, so an entry
+    is at most max(Ap) + e * e and a candidate at most that plus max(gens).
+    The width w is one bit more than that bound takes, so the top bit of
+    every field stays clear, and a field with its top bit set minus another
+    field never goes below 0.  The bound is read off the table the fill is
+    given, so it holds for any column 0, checked or not.  Only the column
+    of the current level is kept.
     """
-    e, gens = S.e, S.gens
+    e, gens, apery = S.e, S.gens, S._ap_class
     hard_stop = max(1, e - 1)
-    mask = (1 << 32 * e) - 1
-    ones = mask // 0xFFFF_FFFF  # 1 in every field
-    high = ones << 31  # the top bit of every field
+    w = (max(apery) + e * e + max(gens)).bit_length() + 1
+    field = (1 << w) - 1
+    mask = (1 << w * e) - 1
+    ones = mask // field  # 1 in every field
+    high = ones << w - 1  # the top bit of every field
     up = e * ones  # e in every field
     # Column n shifted by g is its rotation left by g mod e fields, plus g.
-    shifts = [(32 * (g % e), 32 * (e - g % e), g * ones) for g in gens[1:]]
+    shifts = [(w * (g % e), w * (e - g % e), g * ones) for g in gens[1:]]
     stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    column, before, started = _pack(S._ap_class), 0, 0
+    # Column 0 packed by joining neighbouring fields, twice as wide a round.
+    column, width = list(apery), w
+    while len(column) > 1:
+        pairs = zip_longest(column[::2], column[1::2], fillvalue=0)
+        column, width = [lo | hi << width for lo, hi in pairs], 2 * width
+    column, before, started = column[0], 0, 0
     n = 0
     while True:
         step = column + up
@@ -212,9 +218,9 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
             b = ((column << left) & mask | column >> right) + plus
             # The top bit of a field survives the subtraction iff step >= b there.
             t = ((step | high) - b) & high
-            step ^= (step ^ b) & ((t >> 31) * 0xFFFF_FFFF)
+            step ^= (step ^ b) & ((t >> w - 1) * field)
         # Every entry fits its field, so step - column is e times a set of
-        # fields (bit 32c: class c moves) iff every class moves by 0 or e.
+        # fields (bit wc: class c moves) iff every class moves by 0 or e.
         now, rest = divmod(step - column, e)
         if rest or now & ones != now:
             raise InternalInconsistency(
@@ -226,11 +232,9 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
         started |= now
         stalls.append(started ^ now)
         if n:
-            c_sets[n] = tuple(
-                sorted(column >> p & 0xFFFF_FFFF for p in bits_to_tuple(now & ~before))
-            )
+            c_sets[n] = tuple(sorted(column >> p & field for p in bits_to_tuple(now & ~before)))
             if h == e:
-                return stalls, values, c_sets
+                return stalls, values, c_sets, w
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
@@ -316,10 +320,11 @@ class OrderTable:
     the first level with (r+1)M = rM + e.
 
     A fill returns the classes that stall at levels 0..r (class c at bit c
-    times a stride of 1 or 32), H(0..r) and C_1..C_r, C_n being the
-    elements of order n outside (n-1)M + e; ``_bitset_fill`` reads them off
-    the level bitsets, ``_min_plus_fill`` off the columns alone (see each),
-    chosen by the width of the window against e * v.  Everything after is
+    times a stride: 1, or the field width the min-plus fill hands back),
+    H(0..r) and C_1..C_r, C_n being the elements of order n outside
+    (n-1)M + e; ``_bitset_fill`` reads them off the level bitsets,
+    ``_min_plus_fill`` off the columns alone (see each), chosen by the
+    width of the window against e * v.  Everything after is
     shared.  An x in C_k is the Apery element of its class c, which sets
     ``first[c]`` = k, or y = x - e has order h - 1 < k - 1 and is in D_h^k;
     then class c moves at h - 1, stalls at h..k-1 and moves at k, which is
@@ -341,9 +346,9 @@ class OrderTable:
     def __init__(self, S: NumericalSemigroup):
         e, apery = S.e, S._ap_class
         if S.f + e > _MIN_PLUS_ABOVE * e * S.v:
-            stride, (stalls, values, c_sets) = 32, _min_plus_fill(S)
+            stalls, values, c_sets, stride = _min_plus_fill(S)
         else:
-            stride, (stalls, values, c_sets) = 1, _bitset_fill(S)
+            (stalls, values, c_sets), stride = _bitset_fill(S), 1
         r = len(values) - 1
 
         # Each y in D_h lands in C_t, t > h: the last nonempty C_k bounds D_h.

@@ -190,20 +190,27 @@ class Ap24Match:
     all_cases: tuple[str, ...] = ()
 
 
+def _four_zero_candidates(roles, ap2, c3):
+    """Cases (b) and (d), the (4, 0) shapes, on triples of ``roles``: yield
+    (case tag, role tuple, whether C_3 fills the candidate set) where C_3
+    lies inside their D_2 + e."""
+    for triple in permutations(roles, 3):
+        for case, shape in zip("bd", _FOUR_ZERO):
+            cand = shape.pinned(triple, ap2)
+            if cand is not None and c3 <= cand:
+                yield case, triple, c3 == cand
+
+
 def _ap24_candidates(ap1, ap2, c3):
     """Yield (case tag, role tuple, whether C_3 fills the candidate set)."""
     roles = _roles(ap1, ap2)
+    yield from _four_zero_candidates(roles, ap2, c3)
     for a, b, c in permutations(roles, 3):
         # (a): 2a, a+b, a+c, b+c with triple-supported C_3
         if b < c and ap2 == {2 * a, a + b, a + c, b + c}:
             cand = {a + b + c, 3 * a, 2 * a + b, 2 * a + c}
             if c3 == cand:
                 yield "a", (a, b, c), True
-        # (b) and (d), the (4, 0) shapes: C_3 inside their D_2 + e
-        for case, shape in zip("bd", _FOUR_ZERO):
-            cand = shape.pinned((a, b, c), ap2)
-            if cand is not None and c3 <= cand:
-                yield case, (a, b, c), c3 == cand
         # (e): 2a, 2b, a+c, b+c
         if a < b and ap2 == {2 * a, 2 * b, a + c, b + c}:
             cand = {3 * a, 2 * a + c, 2 * b + c, 3 * b}
@@ -348,8 +355,8 @@ def check_offset4(S: NumericalSemigroup) -> Offset4Verdict:
         # Cases (b) and (d) of the |Ap_2| = 4 taxonomy with C_3 = D_2 + e; no
         # roles match both, as their Ap_2 would need a + c = 2c.
         d2_shift = {x + S.e for x in _set(tables, "d", 2)}
-        cases = _ap24_candidates(ap1, ap2, c3) if c3 == d2_shift else ()
-        wits = [roles for case, roles, full in cases if case in "bd" and full]
+        cases = _four_zero_candidates(_roles(ap1, ap2), ap2, c3) if c3 == d2_shift else ()
+        wits = [roles for _, roles, full in cases if full]
         level = 2 if wits else None
         target = 2 in hp.decreasing_levels
     else:

@@ -297,28 +297,53 @@ def _table_fields(gens):
     )
 
 
+def _spread(bits, width):
+    """The set ``bits`` of classes with class c moved to bit c * width."""
+    return sum(1 << width * c for c in bits_to_tuple(bits))
+
+
+def _fills_agree(monkeypatch, gens):
+    """The min-plus fill against its twin, the bitset fill, on ``gens``:
+    their stalls (class c at bit c, and at bit w * c for the min-plus fill's
+    field width w), H and C_n, then every field of the table under each,
+    dict order included.  Returns w."""
+    S = build(list(gens))
+    stalls, values, c_sets = grading._bitset_fill(S)
+    *fill, width = grading._min_plus_fill(S)
+    assert fill == [[_spread(x, width) for x in stalls], values, c_sets]
+    tables = []
+    for above in FILLS.values():
+        monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
+        tables.append(_table_fields(gens))
+    assert tables[0] == tables[1]
+    return width
+
+
 @pytest.mark.parametrize(
-    "gens",
+    "gens, width",
     [
-        (100, 101),
-        (200, 201),
-        (400, 401),
-        (99, 101),
-        (80, 81, 82),
-        (150, 151, 157),
-        (70, 79, 83),  # window 5.7 times e * v
-        (78, 79, 311),  # window 20.9 times e * v, just below the threshold
+        ((100, 101), 16),
+        ((200, 201), 18),
+        ((400, 401), 20),
+        ((99, 101), 16),
+        ((80, 81, 82), 15),
+        ((150, 151, 157), 16),
+        ((70, 79, 83), 14),  # window 5.7 times e * v
+        ((78, 79, 311), 15),  # window 20.9 times e * v, just above the threshold
         # A perfbench wide draw whose bitset fill sweeps 169 levels.
-        (400, 403, 907, 959, 975, 1087, 1392, 1816, 2093, 2335),
+        ((400, 403, 907, 959, 975, 1087, 1392, 1816, 2093, 2335), 19),
+        # Entry bounds max(Ap) + e * e + max(gens) of 2**12 - 1 and 2**12,
+        # then 2**13 - 1 and 2**13: the field width steps by one across each.
+        ((45, 46), 13),
+        ((41, 78, 115), 14),
+        ((59, 108, 157), 14),
+        ((67, 76, 161), 15),
     ],
 )
-def test_fills_agree_on_wide_ladders(monkeypatch, gens):
-    """The min-plus fill against its twin, the bitset fill, where the oracles
-    are too slow: every field of the table, dict order included."""
-    want = _table_fields(gens)
-    for fill, above in FILLS.items():
-        monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
-        assert _table_fields(gens) == want, fill
+def test_fills_agree_on_wide_ladders(monkeypatch, gens, width):
+    """The two fills where the oracles are too slow, each at the field width
+    it should derive."""
+    assert _fills_agree(monkeypatch, gens) == width
 
 
 @st.composite
@@ -375,37 +400,25 @@ def test_level_sweep_stays_in_its_window(property_corpus):
             assert max(x.bit_length() for x in level) <= limit + 1, S.gens
 
 
-def _spread(bits, width):
-    """The set ``bits`` of classes with class c moved to bit c * width."""
-    return sum(1 << width * c for c in bits_to_tuple(bits))
-
-
 @pytest.mark.parametrize("gens", [(2, 8388607), (3, 5592404)])
 def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
-    """The min-plus fill packs a column in 32-bit fields, and the semigroup
-    keeps its Apery table, column 0, as an ``array("i")``.  Under the window
-    budget B >= e * max(gens), an Apery element is at most
-    (e-1) * max(gens) + 1 <= B, a column entry at most that plus (e-1) * e,
-    itself below B, and a min-plus candidate at most that plus a generator
-    <= B, so every field stays below 3B; that must leave the top bit 2**31
-    of a field clear.  A larger budget fails here until the width is
-    re-derived.  Then both fills at the budget's edge, where e * max(gens)
-    is 2**24 - 2 and 2**24 - 4: their stalls (class c at bit c and at bit
-    32c), H and C_n, and every field of the table."""
+    """The semigroup keeps its Apery table, column 0 of the min-plus fill,
+    as an ``array("i")``.  Under the window budget B >= e * max(gens), an
+    Apery element is at most (e-1) * max(gens) + 1 <= B, a column entry at
+    most that plus (e-1) * e, itself below B, and a min-plus candidate at
+    most that plus a generator <= B, so every value the fill meets stays
+    below 3B; that must stay below 2**31, the array's limit, so a larger
+    budget fails here until the table's type is re-derived.  The fill sizes
+    its fields from the table: at the budget's edge, where e * max(gens) is
+    2**24 - 2 and 2**24 - 4, they are 26 bits wide.  Both fills there: their
+    stalls, H and C_n, and every field of the table."""
     assert array("i").itemsize == 4
     budget = core._WINDOW_BUDGET
     assert 3 * budget < 2**31
     a, b = gens
     assert a * b <= budget and math.gcd(a, b) == 1
-    S = build([a, b])
-    assert S.f == a * b - a - b
-    stalls, values, c_sets = grading._bitset_fill(S)
-    assert grading._min_plus_fill(S) == ([_spread(x, 32) for x in stalls], values, c_sets)
-    tables = []
-    for above in FILLS.values():
-        monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
-        tables.append(_table_fields(gens))
-    assert tables[0] == tables[1]
+    assert build([a, b]).f == a * b - a - b
+    assert _fills_agree(monkeypatch, gens) == 26
 
 
 def naive_bit_scan(bits):
