@@ -11,13 +11,19 @@ out whole: ``bits_to_tuple`` cuts the int into 64-bit words once and, on a
 sparse int, steps only through the nonzero ones; many point reads go through
 one ``to_bytes`` of the int.  A fold through ``add_generator`` tests one
 membership per generator inside a closure step, not one per position.
+
+``PackedColumns`` is the one home of the packed-column format, one value
+per class mod e in a field of one int: the field width from a bound, the
+masks, the pack, the field-wise min of a column and another one rotated
+plus a constant, and the field read.  The min-plus fill of the order table
+runs on it.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from itertools import compress
+from itertools import compress, zip_longest
 from typing import Iterable, Sequence
 
 
@@ -125,6 +131,67 @@ def class_table(column: int, e: int) -> array:
     for w in bits_to_tuple(column):
         table[w % e] = w
     return table
+
+
+class PackedColumns:
+    """The packed-column format: one value a class mod e in one int, class c
+    in the w-bit field at bits wc..wc+w-1, so that a column op is a few
+    whole-int steps, with no Python step per class.
+
+    The width is derived from a bound on every entry and candidate the
+    caller will form: w is one bit more than the bound takes, so the top bit
+    of every field stays clear.  Then no field overflows into the next, and
+    a field with its top bit set minus a field of at most the bound never
+    borrows from the next.  ``field`` is one field's mask, ``ones`` holds 1
+    in every field, ``high`` the top bit of every field and ``mask`` all e
+    fields.
+    """
+
+    __slots__ = ("e", "w", "field", "ones", "high", "mask")
+
+    def __init__(self, e: int, bound: int):
+        self.e = e
+        self.w = w = bound.bit_length() + 1
+        self.field = (1 << w) - 1
+        self.mask = (1 << w * e) - 1
+        self.ones = self.mask // self.field
+        self.high = self.ones << w - 1
+
+    def pack(self, values: Sequence[int]) -> int:
+        """The column with ``values[c]`` in field c: neighbouring fields
+        joined pairwise, twice as wide a round, so each round is one int
+        op per pair."""
+        column, width = list(values), self.w
+        while len(column) > 1:
+            pairs = zip_longest(column[::2], column[1::2], fillvalue=0)
+            column, width = [lo | hi << width for lo, hi in pairs], 2 * width
+        return column[0]
+
+    def rotation(self, g: int) -> tuple[int, int, int]:
+        """The amounts ``min_rotated`` shifts a column by for g: a rotation
+        of the fields by g mod e to the left (so that class c takes field
+        (c - g) % e; zero fields when e divides g), and g in every field."""
+        left = self.w * (g % self.e)
+        return left, self.w * self.e - left, g * self.ones
+
+    def min_rotated(self, a: int, b: int, rotation: tuple[int, int, int]) -> int:
+        """The field-wise min of column ``a`` and column ``b`` rotated by
+        ``rotation`` (from ``rotation(g)``): field c is min(a[c],
+        b[(c - g) % e] + g).  Every entry of ``a`` and of the rotated ``b``
+        must be at most the bound.  The min is one borrow test of all
+        fields at once: the top bit of a field survives (a | high) - b iff
+        a >= b there."""
+        left, right, plus = rotation
+        # The select below drops the fields rotated out past the top anyway;
+        # the mask cuts them first, so no operand grows past one column.
+        b = ((b << left) & self.mask | b >> right) + plus
+        t = ((a | self.high) - b) & self.high
+        return a ^ (a ^ b) & (t >> self.w - 1) * self.field
+
+    def read(self, column: int, flags: int) -> list[int]:
+        """The entries of ``column`` in the fields whose lowest bit is set
+        in ``flags``, by ascending class."""
+        return [column >> p & self.field for p in bits_to_tuple(flags)]
 
 
 def bits_to_tuple(bits: int) -> tuple[int, ...]:

@@ -97,6 +97,8 @@ def parse(argv: list[str]) -> Command:
             key, verbs = _FLAGS[token]
             if verbs is not None and verb not in verbs:
                 raise UsageError("%s does not take %s" % (verb, token))
+            if key in flags:
+                raise UsageError("flag %s given twice" % token)
             if i + 1 >= len(rest):
                 raise UsageError("flag %s needs a value" % token)
             flags[key] = rest[i + 1]

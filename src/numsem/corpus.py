@@ -10,9 +10,9 @@ import math
 import random
 
 from ._bitset import add_generator
-from .core import NumericalSemigroup, build
+from .core import NumericalSemigroup
 
-__all__ = ["minimalize", "random_corpus", "random_semigroup", "symmetric_pairs"]
+__all__ = ["minimalize", "random_corpus", "random_semigroup"]
 
 
 def minimalize(values: list[int]) -> tuple[int, ...]:
@@ -84,18 +84,4 @@ def random_corpus(
             out.append(random_dense_semigroup(rng))
         else:
             out.append(random_semigroup(rng, **kwargs))
-    return out
-
-
-def symmetric_pairs(limit: int = 9) -> list[NumericalSemigroup]:
-    """All two-generator semigroups with multiplicity <= limit.
-
-    Two-generator semigroups are always symmetric, which makes them a cheap
-    stock of Gorenstein instances.
-    """
-    out = []
-    for a in range(2, limit + 1):
-        for b in range(a + 1, 3 * a):
-            if math.gcd(a, b) == 1:
-                out.append(build([a, b]))
     return out

@@ -25,27 +25,29 @@ each shifted down by he, as bitsets on the table's one window [0, f + e],
 a few at a time, and the classes that move at a level are its stratum
 folded mod e.
 The min-plus fill derives each column from the one before with no window,
-on the column packed as one int with a w-bit field per class: a level is
-v - 1 rotations of it and field-wise mins, each a whole-int operation, and
-the classes that move are the fields that grow.  No field overflows or
-borrows into the next, as the fill derives w from the input: every column
-entry is at most max(Ap) + e * e and every min-plus candidate at most that
-plus max(gens), and w is one bit more than that bound takes, so the top
-bit of a field stays clear.  The table takes the min-plus fill when the
-window f + e is more than ``_MIN_PLUS_ABOVE`` times e * v (the
-two-generator ladders, whose windows are about e**2 bits, and other very
-sparse semigroups), and the bitset fill otherwise; each is the other's
-differential twin in the tests.
+on the column packed as one int with a field per class by
+``_bitset.PackedColumns``, the one home of that format: a level is v - 1
+of its rotate-and-min steps, each a few whole-int operations, and the
+classes that move are the fields that grow.  The fill hands the kernel a
+bound on every value it forms, max(Ap) + e * e for a column entry plus
+max(gens) for a min-plus candidate, and the kernel sizes its fields from
+it so that none overflows or borrows into the next.  The table takes the
+min-plus fill when the window f + e is more than ``_MIN_PLUS_ABOVE`` times
+e * v (the two-generator ladders, whose windows are about e**2 bits, and
+other very sparse semigroups), and the bitset fill otherwise; each is the
+other's differential twin in the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, compress
 from typing import Iterator
 
-from ._bitset import bits_to_tuple, closure_bits, fold_classes, shift_sum, window_mask
+from ._bitset import (
+    PackedColumns, bits_to_tuple, closure_bits, fold_classes, shift_sum, window_mask
+)
 from .core import NumericalSemigroup
 from .errors import BadLevel, ConstraintViolation, InternalInconsistency, NotMember
 
@@ -179,50 +181,37 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, i
     n - 1.  A move of any other size raises, and so does a sweep past level
     e - 1, as in ``_levels``.
 
-    The recurrence runs on whole columns, each one int with a w-bit field
-    a class (class c in bits wc..wc+w-1): a shift by g is a rotation of the
-    fields by g mod e plus g in every field, and the min of two columns is
-    one borrow test of all fields at once.  No field overflows or borrows
-    into the next: column 0 is the Apery table, a level adds at most e to
-    an entry, and the sweep stops by level max(1, e - 1) <= e, so an entry
-    is at most max(Ap) + e * e and a candidate at most that plus max(gens).
-    The width w is one bit more than that bound takes, so the top bit of
-    every field stays clear, and a field with its top bit set minus another
-    field never goes below 0.  The bound is read off the table the fill is
-    given, so it holds for any column 0, checked or not.  Only the column
-    of the current level is kept.
+    The recurrence runs on whole columns in the packed format of
+    ``_bitset.PackedColumns`` (class c in the w-bit field at bit wc): the
+    min with column n shifted by g is one ``min_rotated`` step, with the
+    rotation amounts of each generator taken once per fill.  The kernel's
+    width holds every value the fill forms: column 0 is the Apery table, a
+    level adds at most e to an entry, and the sweep stops by level
+    max(1, e - 1) <= e, so an entry is at most max(Ap) + e * e and a
+    candidate at most that plus max(gens).  The bound is read off the table
+    the fill is given, so it holds for any column 0, checked or not.  Only
+    the column of the current level is kept.
     """
     e, gens, apery = S.e, S.gens, S._ap_class
     hard_stop = max(1, e - 1)
-    w = (max(apery) + e * e + max(gens)).bit_length() + 1
-    field = (1 << w) - 1
-    mask = (1 << w * e) - 1
-    ones = mask // field  # 1 in every field
-    high = ones << w - 1  # the top bit of every field
-    up = e * ones  # e in every field
-    # Column n shifted by g is its rotation left by g mod e fields, plus g.
-    shifts = [(w * (g % e), w * (e - g % e), g * ones) for g in gens[1:]]
+    cols = PackedColumns(e, max(apery) + e * e + max(gens))
+    min_rotated = cols.min_rotated
+    # Column n shifted by e: a rotation by zero fields, plus e in place.
+    up = cols.rotation(e)[2]
+    rotations = [cols.rotation(g) for g in gens[1:]]
     stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    # Column 0 packed by joining neighbouring fields, twice as wide a round.
-    column, width = list(apery), w
-    while len(column) > 1:
-        pairs = zip_longest(column[::2], column[1::2], fillvalue=0)
-        column, width = [lo | hi << width for lo, hi in pairs], 2 * width
-    column, before, started = column[0], 0, 0
+    column, before, started = cols.pack(apery), 0, 0
     n = 0
     while True:
         step = column + up
-        for left, right, plus in shifts:
-            b = ((column << left) & mask | column >> right) + plus
-            # The top bit of a field survives the subtraction iff step >= b there.
-            t = ((step | high) - b) & high
-            step ^= (step ^ b) & ((t >> w - 1) * field)
+        for rotation in rotations:
+            step = min_rotated(step, column, rotation)
         # Every entry fits its field, so step - column is e times a set of
         # fields (bit wc: class c moves) iff every class moves by 0 or e.
         now, rest = divmod(step - column, e)
-        if rest or now & ones != now:
+        if rest or now & cols.ones != now:
             raise InternalInconsistency(
                 "a class moves by other than 0 or e = %d from level %d" % (e, n)
             )
@@ -232,9 +221,9 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, i
         started |= now
         stalls.append(started ^ now)
         if n:
-            c_sets[n] = tuple(sorted(column >> p & field for p in bits_to_tuple(now & ~before)))
+            c_sets[n] = tuple(sorted(cols.read(column, now & ~before)))
             if h == e:
-                return stalls, values, c_sets, w
+                return stalls, values, c_sets, cols.w
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
@@ -424,22 +413,6 @@ class OrderTable:
                 break
             k += t - h
         return k
-
-    def column(self, h: int) -> list[int]:
-        """The smallest element of hM in each class mod e, h >= 0."""
-        e, out = self.e, []
-        for x, k, runs in zip(self.apery, self.first, self.runs):
-            for start, end in runs:
-                if h < start:
-                    break
-                x, k = x + (start - k) * e, end
-            out.append(x + max(h - k, 0) * e)
-        return out
-
-    def ord_map(self, limit: int) -> dict[int, int]:
-        """{s: ord(s)} for every member s in [0, limit]."""
-        apery = self.apery
-        return {s: self.order(s) for s in range(limit + 1) if s >= apery[s % self.e]}
 
 
 def order_table(S: NumericalSemigroup) -> OrderTable:

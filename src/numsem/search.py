@@ -109,11 +109,6 @@ class ResidueRow:
         return tuple(sorted(set(range(1, self.e)) - set(self.base_classes)))
 
 
-def _one_per_class(e: int, values: tuple[int, ...]) -> bool:
-    """True when the values lie in pairwise distinct classes mod e."""
-    return len({x % e for x in values}) == len(values)
-
-
 @cache
 def _classes(shape: _Shape, e: int, prefix: tuple[int, ...]) -> tuple[int, ...]:
     """The classes t in 1..e-1 for which ``shape`` on the residues
@@ -122,7 +117,7 @@ def _classes(shape: _Shape, e: int, prefix: tuple[int, ...]) -> tuple[int, ...]:
     real values collide mod e depends only on the roles' classes: this is
     the search's one-per-class rule, decided once per (shape, e, prefix)."""
     values = {t: sum(shape.skeleton(e, prefix + (t,)), ()) for t in range(1, e)}
-    return tuple(t for t in values if _one_per_class(e, values[t]))
+    return tuple(t for t, vals in values.items() if len({x % e for x in vals}) == len(vals))
 
 
 def residue_admissible(e: int, h: int) -> ResidueRow:

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -6,12 +7,26 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from numsem import build
-from numsem.corpus import random_corpus, symmetric_pairs
+from numsem.corpus import random_corpus
 from numsem.search import SpParameters, construct_sp
 
 import data
 
 CORPUS_SEED = 20260808
+
+
+def symmetric_pairs(limit):
+    """All two-generator semigroups with multiplicity <= limit.
+
+    Two-generator semigroups are always symmetric, which makes them a cheap
+    stock of Gorenstein instances.
+    """
+    out = []
+    for a in range(2, limit + 1):
+        for b in range(a + 1, 3 * a):
+            if math.gcd(a, b) == 1:
+                out.append(build([a, b]))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ plain scans for Apery sets and Hilbert values.  Tests freeze values computed
 by these and diff them against the package.  Only the search twins at the
 end call into the package: ``search_by_product`` for ``build`` and
 ``hilbert_function``, ``search_shape_free`` for the minimality step and the
-leaf test, and ``sp_family_members`` for ``construct_sp``.
+leaf test, and ``sp_family_members`` for ``construct_sp``.  One function
+reads an order table: ``table_column`` derives a column of smallest
+elements from its ``apery``, ``first`` and ``runs``.
 """
 
 import itertools
@@ -143,6 +145,21 @@ def order_dp(gens, limit):
                 best = cand if best is None else max(best, cand)
         ords[x] = best
     return ords
+
+
+def table_column(table, h):
+    """The smallest element of hM in each class mod e, h >= 0, from an order
+    table: the class's Apery element moves on by e at every level from
+    ``first[c]`` on, except through each stall run (start, end), where it
+    waits from level start to end."""
+    e, out = table.e, []
+    for x, k, runs in zip(table.apery, table.first, table.runs):
+        for start, end in runs:
+            if h < start:
+                break
+            x, k = x + (start - k) * e, end
+        out.append(x + max(h - k, 0) * e)
+    return out
 
 
 def hilbert_values(gens, upto):

@@ -219,11 +219,13 @@ def test_usage_error_exit(capsys):
         (["search", "--e-range", "13..13", "--v-offset", "3", "--max-level", "2"],
          "error: search does not take --max-level"),
         (["strata", "3,5,7", "--max-level"], "error: flag --max-level needs a value"),
+        (["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "12e",
+          "--format", "json", "--format", "csv"], "error: flag --format given twice"),
     ],
     ids=["check-no-gens", "residue-no-modulus", "search-positional", "format-xml",
          "construct-no-kprime", "search-no-range", "range-form", "gen-bound-form",
          "bad-generator", "apery-max-level", "info-workers", "check-p",
-         "search-max-level", "flag-no-value"],
+         "search-max-level", "flag-no-value", "flag-twice"],
 )
 def test_usage_error_lines(capsys, argv, first_err):
     code, out, err = run(argv, capsys)

@@ -10,6 +10,7 @@ instances.
 import dataclasses
 import itertools
 import math
+import random
 import time
 from array import array
 
@@ -42,6 +43,7 @@ from numsem import (
 )
 from numsem import core, filtration, grading, search, structure
 from numsem._bitset import (
+    PackedColumns,
     add_generator,
     bits_to_tuple,
     closure_bits,
@@ -87,12 +89,13 @@ def check_strata(S):
 
 
 def check_orders(S):
-    """order_of and ord_map against the array DP, on every member up to
-    f + r_stop*e and on the far reads at 2 to 4 times that bound, which the
-    order table answers from its last column."""
+    """order_of and the order table's ``order`` against the array DP, on
+    every member up to f + r_stop*e and on the far reads at 2 to 4 times that
+    bound, which the order table answers from its last column."""
     bound = S.f + strata_tables(S).r_stop * S.e
     want = oracles.order_dp(list(S.gens), 4 * bound)
-    assert order_table(S).ord_map(bound) == {
+    table = order_table(S)
+    assert {s: table.order(s) for s in range(bound + 1) if S.contains(s)} == {
         s: k for s, k in enumerate(want[: bound + 1]) if k is not None
     }
     for s in [*range(bound + 1), *range(2 * bound, 4 * bound + 1)]:
@@ -102,12 +105,12 @@ def check_orders(S):
 
 def check_columns(S):
     """Each column the order table derives against the array DP:
-    ``column(h)[c]`` is the smallest s = c mod e with ord(s) >= h, for
-    h = 0 .. stable_from + 2, and a class gains 0 or e from one column to the
-    next."""
+    ``table_column(table, h)[c]`` is the smallest s = c mod e with
+    ord(s) >= h, for h = 0 .. stable_from + 2, and a class gains 0 or e from
+    one column to the next."""
     table = order_table(S)
     e = S.e
-    columns = [table.column(h) for h in range(table.stable_from + 3)]
+    columns = [oracles.table_column(table, h) for h in range(table.stable_from + 3)]
     want = oracles.order_dp(list(S.gens), S.f + len(columns) * e)
     for h, column in enumerate(columns):
         smallest = {}
@@ -283,7 +286,7 @@ def _table_fields(gens):
     """Every field of the order table and the columns it derives up to
     ``stable_from``; the repr keeps the dict key order."""
     table = order_table(build(list(gens)))
-    columns = [table.column(h) for h in range(table.stable_from + 1)]
+    columns = [oracles.table_column(table, h) for h in range(table.stable_from + 1)]
     return repr(
         (
             table.hilbert,
@@ -419,6 +422,74 @@ def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
     assert a * b <= budget and math.gcd(a, b) == 1
     assert build([a, b]).f == a * b - a - b
     assert _fills_agree(monkeypatch, gens) == 26
+
+
+# The packed-column kernel against plain lists, at e = 1, 2, a prime and 400,
+# and at entry bounds 2**k - 1 and 2**k, across which the field width steps
+# by one.
+PACKED_CASES = [
+    (e, bound, width)
+    for e in (1, 2, 13, 400)
+    for k in (9, 13)
+    for bound, width in ((2**k - 1, k + 1), (2**k, k + 2))
+]
+
+
+def _packed_twin(values, width):
+    """A list packed the plain way: entry c at bit width * c."""
+    return sum(x << width * c for c, x in enumerate(values))
+
+
+def _entries(rng, e, top):
+    """e entries in [0, top], both ends included when e allows."""
+    values = [rng.randint(0, top) for _ in range(e)]
+    values[0], values[-1] = top, 0
+    return values
+
+
+@pytest.mark.parametrize("e, bound, width", PACKED_CASES)
+def test_packed_layout_and_pack_match_plain_lists(e, bound, width):
+    """The width is one bit more than the bound takes, the masks are the
+    plain sums of their fields, and ``pack`` puts entry c in field c."""
+    cols = PackedColumns(e, bound)
+    assert cols.w == width
+    assert cols.field == (1 << width) - 1
+    assert cols.ones == _packed_twin([1] * e, width)
+    assert cols.high == _packed_twin([1 << width - 1] * e, width)
+    assert cols.mask == _packed_twin([(1 << width) - 1] * e, width)
+    values = _entries(random.Random(e * bound), e, bound)
+    assert cols.pack(values) == _packed_twin(values, width)
+
+
+@pytest.mark.parametrize("e, bound, width", PACKED_CASES)
+def test_packed_min_rotated_matches_plain_lists(e, bound, width):
+    """Field c of ``min_rotated(a, b, rotation(g))`` is
+    min(a[c], b[(c - g) % e] + g) whenever every entry and candidate is at
+    most the bound: for g = e (a rotation by zero fields), g below and above
+    e, a multiple of e, and the bound itself, with a tie forced."""
+    rng = random.Random(e + bound)
+    cols = PackedColumns(e, bound)
+    for g in sorted({e, 1, e + 1, 3 * e, 2 * e + 5, rng.randint(1, bound), bound}):
+        if g > bound:
+            continue
+        a, b = _entries(rng, e, bound), _entries(rng, e, bound - g)
+        a[e // 2] = b[(e // 2 - g) % e] + g
+        want = [min(a[c], b[(c - g) % e] + g) for c in range(e)]
+        got = cols.min_rotated(_packed_twin(a, width), _packed_twin(b, width), cols.rotation(g))
+        assert got == _packed_twin(want, width), g
+
+
+@pytest.mark.parametrize("e, bound, width", PACKED_CASES)
+def test_packed_read_matches_plain_lists(e, bound, width):
+    """``read`` gives the entries of the flagged fields, by ascending class,
+    with flags at a field's lowest bit."""
+    rng = random.Random(e * width)
+    cols = PackedColumns(e, bound)
+    values = _entries(rng, e, bound)
+    column = _packed_twin(values, width)
+    for chosen in ([], list(range(e)), sorted(rng.sample(range(e), (e + 1) // 2))):
+        flags = _packed_twin([int(c in chosen) for c in range(e)], width)
+        assert cols.read(column, flags) == [values[c] for c in chosen]
 
 
 def naive_bit_scan(bits):
