@@ -342,7 +342,7 @@ def _dispatch(cmd: Command) -> Report:
             if key not in cmd.flags:
                 raise UsageError("search needs --%s" % key.replace("_", "-"))
         lo, sep, hi = cmd.flags["e_range"].partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
+        if not sep or not lo.isdecimal() or not hi.isdecimal():
             raise UsageError("--e-range must look like LO..HI")
         bound_text = cmd.flags.get("gen_bound", "20e")
         per_e = bound_text.endswith("e")

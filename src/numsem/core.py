@@ -55,10 +55,9 @@ __all__ = [
 # ``frobenius_window`` grows from [0, bound] to at most the construction
 # closure's width (the search refuses e * bound past the budget); no level's
 # window is wider than its closure's plus e.  The cached order table keeps two
-# entries a class and a pair a stall run; its fill keeps, for each of at most
-# e levels, the set of classes that stall there, at most e bits (w * e on
-# the min-plus path, whose field width w that fill derives from the Apery
-# table, not from this budget).
+# entries a class and a pair a stall run; its fill keeps H and C_n and no
+# per-level set, and the min-plus fill holds one column of w * e bits, its
+# field width w derived from the Apery table, not from this budget.
 _WINDOW_BUDGET = 1 << 24
 
 

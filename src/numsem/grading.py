@@ -8,16 +8,16 @@ hM = {s : ord(s) >= h} form the order filtration.
 One fill per semigroup records the filtration up to the first level r with
 (r+1)M = rM + e.  From that level on, adding the multiplicity is a
 bijection between consecutive strata, so the fill has seen all there is.
-It records the Hilbert function, the sets C_k and, at each level h <= r,
-the classes mod e that stall there.  The smallest element of hM in a class
-moves by e a level from the order of the class's Apery element on, except
-through one run of levels h..t-1 for each y of the class in D_h^t (y has
-order h - 1 and y + e order t).  C_k is the order-k Apery elements plus
-the landings D_h^k + e, h < k, which gives D_k, D_k^t and the Apery
-strata; per class, the first move and the stall runs are the Apery table
-of the filtration (Cortadellas Benitez and Zarzuela Armengou, J. Algebra
-328, 2011).  ``order_table`` keeps them on the semigroup; ``order_of`` is a
-lookup in them.
+It records the Hilbert function and the sets C_k.  The smallest element
+of hM in a class moves by e a level from the order of the class's Apery
+element on, except through one run of levels h..t-1 for each y of the
+class in D_h^t (y has order h - 1 and y + e order t).  C_k is the order-k
+Apery elements plus the landings D_h^k + e, h < k, and h is one more than
+ord(y), read off the runs of the lower levels; this gives D_k, D_k^t and
+the Apery strata.  Per class, the first move and the stall runs are the
+Apery table of the filtration (Cortadellas Benitez and Zarzuela
+Armengou, J. Algebra 328, 2011).  ``order_table`` keeps them on the
+semigroup; ``order_of`` is a lookup in them.
 
 Two fills produce the same record, and neither keeps a level's column of
 smallest elements past that level.  The bitset fill sweeps the levels hM,
@@ -125,9 +125,9 @@ def _levels(gens: tuple[int, ...], bits: int, limit: int) -> Iterator[tuple[int,
 _MIN_PLUS_ABOVE = 20
 
 
-def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
-    """The stalls at levels 0..r, H(0..r) and C_1..C_r from the level sweep,
-    run on the table's one closure of the generators, over [0, f + e].
+def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """H(0..r) and C_1..C_r from the level sweep, run on the table's one
+    closure of the generators, over [0, f + e].
 
     Each level n is read off the stratum nM minus (n+1)M, less ne, that
     ``_levels`` yields: H(n) is its size, and C_n, its elements outside
@@ -139,36 +139,31 @@ def _bitset_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict]:
     holds at most one element of each order, and the fill checks that the
     stratum meets as many classes as it has elements.  The stratum is
     folded onto its classes (bit c for class c) in whole-int steps; no
-    Python step is taken per class.  A class stalls at n when it moved at a
-    level below n but does not move at n.  At r every class moves, as
+    Python step is taken per class.  At r every class moves, as
     (r+1)M = rM + e, the stop test of ``_levels``.
     """
     e = S.e
-    stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    started = below = last = 0
+    below = last = 0
     limit = S.f + e
     for n, (here, stratum) in enumerate(_levels(S.gens, closure_bits(S.gens, limit), limit)):
         if n:
-            moved = fold_classes(last, e)
-            if moved.bit_count() != values[n - 1]:
+            moved = fold_classes(last, e).bit_count()
+            if moved != values[n - 1]:
                 raise InternalInconsistency(
                     "%d classes leave level %d, which holds %d elements"
-                    % (moved.bit_count(), n - 1, values[n - 1])
+                    % (moved, n - 1, values[n - 1])
                 )
-            started |= moved
-            stalls.append(started ^ moved)
             c_sets[n] = bits_to_tuple((stratum & ~below) << n * e)
         values.append(stratum.bit_count())
         below, last = here, stratum
-    stalls.append(0)
-    return stalls, values, c_sets
+    return values, c_sets
 
 
-def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, int]:
-    """What ``_bitset_fill`` returns, from the columns alone, with no window,
-    the stall of class c at bit w * c, and the field width w.
+def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """What ``_bitset_fill`` returns, H(0..r) and C_1..C_r, from the columns
+    alone, with no window.
 
     Column n holds the smallest element of nM in each class.  (n+1)M is the
     union of g + nM over the generators g, so column n + 1 is the min over g
@@ -199,10 +194,9 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, i
     # Column n shifted by e: a rotation by zero fields, plus e in place.
     up = cols.rotation(e)[2]
     rotations = [cols.rotation(g) for g in gens[1:]]
-    stalls: list[int] = []
     values: list[int] = []
     c_sets: dict[int, tuple[int, ...]] = {}
-    column, before, started = cols.pack(apery), 0, 0
+    column, before = cols.pack(apery), 0
     n = 0
     while True:
         step = column + up
@@ -217,13 +211,10 @@ def _min_plus_fill(S: NumericalSemigroup) -> tuple[list[int], list[int], dict, i
             )
         h = now.bit_count()
         values.append(h)
-        # The classes that moved below n and do not move at n.
-        started |= now
-        stalls.append(started ^ now)
         if n:
             c_sets[n] = tuple(sorted(cols.read(column, now & ~before)))
             if h == e:
-                return stalls, values, c_sets, cols.w
+                return values, c_sets
         if n == hard_stop:
             raise InternalInconsistency(
                 "order filtration did not stabilize by level %d" % hard_stop
@@ -303,29 +294,29 @@ class OrderTable:
     y of the class in D_h^t, ascending.  From ``apery[c]`` on, each e added
     is one order more, except from y, of order h - 1, to y + e, of order t:
     the smallest element of the class in hM moves by e at every level from
-    ``first[c]`` on but h..t-1, where it stalls at y + e.  ``hilbert``,
+    ``first[c]`` on but h..t-1, where it stays at y + e.  ``hilbert``,
     ``tables`` and ``apery_strata`` are what ``hilbert_function``,
     ``strata_tables`` and ``apery_strata`` return, and ``stable_from`` is r,
     the first level with (r+1)M = rM + e.
 
-    A fill returns the classes that stall at levels 0..r (class c at bit c
-    times a stride: 1, or the field width the min-plus fill hands back),
-    H(0..r) and C_1..C_r, C_n being the elements of order n outside
-    (n-1)M + e; ``_bitset_fill`` reads them off the level bitsets,
+    A fill returns H(0..r) and C_1..C_r, C_n being the elements of order n
+    outside (n-1)M + e; ``_bitset_fill`` reads them off the level bitsets,
     ``_min_plus_fill`` off the columns alone (see each), chosen by the
-    width of the window against e * v.  Everything after is
-    shared.  An x in C_k is the Apery element of its class c, which sets
-    ``first[c]`` = k, or y = x - e has order h - 1 < k - 1 and is in D_h^k;
-    then class c moves at h - 1, stalls at h..k-1 and moves at k, which is
-    the run (h, k).  Every y in D_h lands so in C_t, t = ord(y + e) > h, so
-    this yields D_h, D_h^t, the Apery strata and the runs.  Each run is
-    checked against the stalls: it ends at level k, where its class moves,
-    and it starts at a level h, 2 <= h < k, after a move, so every C_k
-    element that is not an Apery element ends a run; one that does not
+    width of the window against e * v.  Everything after is shared.  An x
+    in C_k is the Apery element of its class c, which sets ``first[c]`` = k,
+    or y = x - e has order h - 1 < k - 1 and is in D_h^k; then class c
+    moves at h - 1, stays at h..k-1 and moves at k, which is the run
+    (h, k).  Every y in D_h lands so in C_t, t = ord(y + e) > h, so this
+    yields D_h, D_h^t, the Apery strata and the runs.  The levels are read
+    in ascending k, so when x is read the Apery element of its class and
+    every run of the class that lands below k are in the table, and
+    h = ``order(x - e)`` + 1 is exact; a landing with h outside 2..k-1
     raises.  A class holds at most one element of each order, so H(n)
     counts the classes that move at n.  The bitset fill checks that each
     stratum meets as many classes as it has elements, the min-plus fill each
-    move against {0, e}; either implies it.
+    move against {0, e}; either implies it.  Last, the table is checked
+    against H(k) - H(k-1) = |C_k| - |D_k| at every level 2 <= k < r_stop,
+    which catches a landing read at the wrong level.
     """
 
     __slots__ = (
@@ -334,19 +325,18 @@ class OrderTable:
 
     def __init__(self, S: NumericalSemigroup):
         e, apery = S.e, S._ap_class
-        if S.f + e > _MIN_PLUS_ABOVE * e * S.v:
-            stalls, values, c_sets, stride = _min_plus_fill(S)
-        else:
-            (stalls, values, c_sets), stride = _bitset_fill(S), 1
+        fill = _min_plus_fill if S.f + e > _MIN_PLUS_ABOVE * e * S.v else _bitset_fill
+        values, c_sets = fill(S)
         r = len(values) - 1
 
         # Each y in D_h lands in C_t, t > h: the last nonempty C_k bounds D_h.
         r_stop = max((k + 1 for k, v in c_sets.items() if v), default=2)
         apery_parts: dict[int, list[int]] = {}  # k -> Apery elements of order k
         landings: dict[int, dict[int, list[int]]] = {h: {} for h in range(2, r_stop)}
-        first = [0] * e
+        self.e, self.apery = e, apery
+        self.first = first = [0] * e
         # A tuple per class, so a class with no run reads one empty tuple.
-        runs: list[tuple[tuple[int, int], ...]] = [()] * e
+        self.runs = runs = [()] * e
         for k in range(1, r_stop):
             for x in c_sets[k]:
                 c = x % e
@@ -354,11 +344,8 @@ class OrderTable:
                     apery_parts.setdefault(k, []).append(x)
                     first[c] = k
                     continue
-                # stalls[0] is empty, so the walk stops at h >= 1.
-                p, h = c * stride, k
-                while stalls[h - 1] >> p & 1:
-                    h -= 1
-                if h == k or h < 2 or stalls[k] >> p & 1:
+                h = self.order(x - e) + 1
+                if not 2 <= h < k:
                     raise InternalInconsistency("%d in C_%d is not a landing" % (x, k))
                 landings[h].setdefault(k, []).append(x - e)
                 runs[c] += ((h, k),)
@@ -388,11 +375,13 @@ class OrderTable:
         # M \ 2M is the minimal generating set, so a non-minimal S fails here.
         if values[1] != S.v:
             raise InternalInconsistency("H_R(1) = %d != v = %d" % (values[1], S.v))
+        for k in range(2, r_stop):
+            delta, sizes = values[k] - values[k - 1], len(c_sets[k]) - len(d_sets[k])
+            if delta != sizes:
+                raise InternalInconsistency(
+                    "delta mismatch at level %d: %d vs %d" % (k, delta, sizes)
+                )
 
-        self.e = e
-        self.apery = apery
-        self.first = first
-        self.runs = runs
         self.stable_from = r
         self.hilbert = HilbertProfile(tuple(values[: stable_at + 1]), stable_at, decreasing)
         self.tables = FiltrationTables(d_sets, c_sets, d_split, k0, r_stop)
@@ -543,8 +532,8 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     counts that leave a number the smaller ones can take; the last two
     generators of the support then give an arithmetic progression of
     values, one per count of the larger.  Raises ConstraintViolation when
-    the coefficients of ``rep`` do not sum to its order; its value is taken
-    as given.
+    ``rep`` does not give one non-negative coefficient per generator, or
+    when they do not sum to its order; its value is taken as given.
     """
     if h < 0 or h > rep.order:
         raise BadLevel("level %d not in [0, %d]" % (h, rep.order))
@@ -557,6 +546,9 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
         raise ConstraintViolation(
             "representation coefficients sum to %d, not its order %d" % (below[-1], rep.order)
         )
+    # ``coeffs`` sums to the order, at least h > 0, so it is not empty.
+    if len(rep.coeffs) != len(rep.gens) or min(coeffs) < 0:
+        raise ConstraintViolation("coefficients %r do not count %r" % (rep.coeffs, rep.gens))
     if len(gens) == 1:
         return [h * gens[0]]
     values: set[int] = set()

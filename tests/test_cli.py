@@ -210,6 +210,8 @@ def test_usage_error_exit(capsys):
         (["search", "--v-offset", "3"], "error: search needs --e-range"),
         (["search", "--e-range", "13", "--v-offset", "3"],
          "error: --e-range must look like LO..HI"),
+        (["search", "--e-range", "\u00b2..3", "--v-offset", "3"],
+         "error: --e-range must look like LO..HI"),
         (["search", "--e-range", "13..13", "--v-offset", "3", "--gen-bound", "e"],
          "error: --gen-bound must be an integer or Ne form"),
         (["info", "2,x"], "error: InvalidGenerator: not an integer: 'x'"),
@@ -223,9 +225,9 @@ def test_usage_error_exit(capsys):
           "--format", "json", "--format", "csv"], "error: flag --format given twice"),
     ],
     ids=["check-no-gens", "residue-no-modulus", "search-positional", "format-xml",
-         "construct-no-kprime", "search-no-range", "range-form", "gen-bound-form",
-         "bad-generator", "apery-max-level", "info-workers", "check-p",
-         "search-max-level", "flag-no-value", "flag-twice"],
+         "construct-no-kprime", "search-no-range", "range-form", "range-superscript",
+         "gen-bound-form", "bad-generator", "apery-max-level", "info-workers",
+         "check-p", "search-max-level", "flag-no-value", "flag-twice"],
 )
 def test_usage_error_lines(capsys, argv, first_err):
     code, out, err = run(argv, capsys)

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -300,26 +301,26 @@ def _table_fields(gens):
     )
 
 
-def _spread(bits, width):
-    """The set ``bits`` of classes with class c moved to bit c * width."""
-    return sum(1 << width * c for c in bits_to_tuple(bits))
-
-
 def _fills_agree(monkeypatch, gens):
     """The min-plus fill against its twin, the bitset fill, on ``gens``:
-    their stalls (class c at bit c, and at bit w * c for the min-plus fill's
-    field width w), H and C_n, then every field of the table under each,
-    dict order included.  Returns w."""
+    their H and C_n, then every field of the table under each, dict order
+    included.  Returns the field width w of the min-plus fill's columns."""
+    widths = []
+
+    class Recorded(PackedColumns):
+        def __init__(self, e, bound):
+            super().__init__(e, bound)
+            widths.append(self.w)
+
+    monkeypatch.setattr(grading, "PackedColumns", Recorded)
     S = build(list(gens))
-    stalls, values, c_sets = grading._bitset_fill(S)
-    *fill, width = grading._min_plus_fill(S)
-    assert fill == [[_spread(x, width) for x in stalls], values, c_sets]
+    assert grading._min_plus_fill(S) == grading._bitset_fill(S)
     tables = []
     for above in FILLS.values():
         monkeypatch.setattr(grading, "_MIN_PLUS_ABOVE", above)
         tables.append(_table_fields(gens))
     assert tables[0] == tables[1]
-    return width
+    return widths[0]
 
 
 @pytest.mark.parametrize(
@@ -414,7 +415,7 @@ def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
     budget fails here until the table's type is re-derived.  The fill sizes
     its fields from the table: at the budget's edge, where e * max(gens) is
     2**24 - 2 and 2**24 - 4, they are 26 bits wide.  Both fills there: their
-    stalls, H and C_n, and every field of the table."""
+    H and C_n, and every field of the table."""
     assert array("i").itemsize == 4
     budget = core._WINDOW_BUDGET
     assert 3 * budget < 2**31
@@ -424,6 +425,22 @@ def test_column_fields_hold_every_entry_the_budget_allows(monkeypatch, gens):
     assert _fills_agree(monkeypatch, gens) == 26
 
 
+def test_min_plus_table_keeps_no_column_a_level():
+    """<2000, 2003, 5999> takes the min-plus fill, on 24-bit fields, and
+    has 867 stall runs over 1,333 levels.  The fill holds one packed column
+    of 2000 * 24 bits (6 KB) at a time and keeps only H and C_n, so the
+    traced peak of the table's build stays far below the 8 MB that one
+    column-wide set a level would take."""
+    S = build([2000, 2003, 5999])
+    assert S.f + S.e > grading._MIN_PLUS_ABOVE * S.e * S.v
+    tracemalloc.start()
+    try:
+        table = grading.OrderTable(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, table.runs)) == 867
+    assert peak < 3 * 1024 * 1024
 # The packed-column kernel against plain lists, at e = 1, 2, a prime and 400,
 # and at entry bounds 2**k - 1 and 2**k, across which the field width steps
 # by one.
@@ -719,8 +736,8 @@ def _feed(change):
 
 
 def _refill(change):
-    """Let ``change(stalls, values, c_sets)`` edit, in place, what the
-    bitset fill hands the table of E13."""
+    """Let ``change(values, c_sets)`` edit, in place, what the bitset fill
+    hands the table of E13."""
 
     def fixture(monkeypatch):
         real = grading._bitset_fill
@@ -736,9 +753,16 @@ def _refill(change):
     return fixture
 
 
-def _restall(n, c):
-    """Flip the stall of class c at level n in the bitset fill of E13."""
-    return _refill(lambda stalls, values, c_sets: stalls.__setitem__(n, stalls[n] ^ 1 << c))
+def _recount(x, source, target):
+    """Move x from C_source to C_target (x added only, for no source) in
+    the bitset fill of E13."""
+
+    def change(values, c_sets):
+        if source:
+            c_sets[source] = tuple(y for y in c_sets[source] if y != x)
+        c_sets[target] = tuple(sorted(c_sets[target] + (x,)))
+
+    return _refill(change)
 
 
 def _drop_c2(monkeypatch):
@@ -873,7 +897,7 @@ def _sp_sum_on_apery(monkeypatch):
     [
         (_stall, "did not stabilize by level 12"),
         # H_R(r) = e - 1 at the level r = 5 where E13 is stable.
-        (_refill(lambda stalls, values, c_sets: values.__setitem__(5, 12)), "H_R"),
+        (_refill(lambda values, c_sets: values.__setitem__(5, 12)), "H_R"),
         # The Apery element 19 of E13 never gets an order.
         (
             _feed(lambda n, stratum: stratum & ~(1 << 19 - 13) if n == 1 else stratum),
@@ -885,13 +909,14 @@ def _sp_sum_on_apery(monkeypatch):
             _feed(lambda n, stratum: stratum | 1 << 26 - 13 if n == 1 else stratum),
             "classes leave level",
         ),
-        # 57 = 44 + e, a landing in C_3: its class 5 moves at level 1, where
-        # 44 has its order, stalls at 2 and moves at 3.  Here the run does
-        # not end at 3, as the class stalls there too; or it has no stall
-        # before 3; or it reaches back to level 1, below D_2.
-        (_restall(3, 5), "57 in C_3 is not a landing"),
-        (_restall(2, 5), "57 in C_3 is not a landing"),
-        (_restall(1, 5), "57 in C_3 is not a landing"),
+        # 57 = 44 + e, a landing in C_3: 44 has order 1, so its run starts
+        # at 2 and ends at 3.  Read in C_2, the run would end where it
+        # starts; 13 = 0 + e read in C_2 would start at level 1, below D_2;
+        # read in C_4, 57 passes as a run (2, 4), but C_3 is one short of
+        # H(3) - H(2) + |D_3|.
+        (_recount(57, 3, 2), "57 in C_2 is not a landing"),
+        (_recount(13, None, 2), "13 in C_2 is not a landing"),
+        (_recount(57, 3, 4), "delta mismatch at level 3"),
         (_min_plus_jump, "moves by other than 0 or e"),
         (_min_plus_between, "moves by other than 0 or e"),
         (_min_plus_stall, "did not stabilize by level 2"),
@@ -910,9 +935,9 @@ def _sp_sum_on_apery(monkeypatch):
         "hilbert_tail",
         "apery_strata",
         "class_moves",
-        "landing",
-        "landing_start",
+        "landing_at_its_start",
         "landing_below_d2",
+        "landing_level",
         "min_plus_moves",
         "min_plus_between",
         "min_plus_stabilization",

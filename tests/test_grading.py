@@ -95,10 +95,17 @@ def test_induced_elements(e13):
 
 def test_induced_elements_above_the_coefficient_sum():
     """A hand-built representation whose coefficients do not sum to its
-    order is refused, not read as having no sub-combination."""
+    order, or are not one non-negative count per generator, is refused, not
+    read as having no sub-combination or one of the wrong size."""
     rep = MaximalRepresentation((3, 5), (1, 0), 3, 2)
     with pytest.raises(ConstraintViolation, match="sum to 1, not its order 2"):
         induced_elements(rep, 2)
+    for rep in (
+        MaximalRepresentation((3, 5), (0, 2, 1), 13, 3),
+        MaximalRepresentation((3, 5), (-1, 4), 17, 3),
+    ):
+        with pytest.raises(ConstraintViolation, match="do not count"):
+            induced_elements(rep, 2)
 
 
 def test_apery_strata_reference(e13):
