@@ -64,14 +64,10 @@ from .combinatorics import (
 from .search import (
     ResidueRow,
     SearchConfig,
-    SpParameters,
-    construct_sp,
-    recover_sp_parameters,
     residue_admissible,
     residue_table,
     search_decreasing,
     search_results_csv,
-    sp_generator_list,
 )
 from .structure import (
     Ap24Match,
@@ -81,14 +77,18 @@ from .structure import (
     Offset3Verdict,
     Offset4Verdict,
     PowerTailVerdict,
+    SpParameters,
     check_chain_structure,
     check_offset3,
     check_offset4,
     check_power_apery_tail,
     classification_report,
     classify_c3,
+    construct_sp,
     is_symmetric,
     match_ap2_size4_case,
+    recover_sp_parameters,
+    sp_generator_list,
 )
 
 __version__ = "0.1.0"

@@ -22,24 +22,19 @@ from .core import NumericalSemigroup, build, parse_generators
 from .errors import HypothesisFailed, SemigroupError, UsageError
 from .filtration import audit_delta, hilbert_function, is_tangent_cone_cm, strata_tables
 from .grading import apery_strata
-from .search import (
-    SearchConfig,
-    SpParameters,
-    construct_sp,
-    residue_table,
-    search_decreasing,
-    search_results_csv,
-    sp_generator_list,
-)
+from .search import SearchConfig, residue_table, search_decreasing, search_results_csv
 from .structure import (
+    SpParameters,
     check_chain_structure,
     check_offset3,
     check_offset4,
     check_power_apery_tail,
     classification_report,
     classify_c3,
+    construct_sp,
     is_symmetric,
     match_ap2_size4_case,
+    sp_generator_list,
 )
 
 __all__ = ["Command", "Report", "execute", "main", "parse", "render"]

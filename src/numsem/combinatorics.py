@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadConfig
+from .grading import _check_record
 
 __all__ = [
     "BetaCount",
@@ -103,8 +104,10 @@ def support_count_bound(rep, h: int) -> int:
     The representation must use q >= 1 non-multiplicity generators, each with
     positive coefficient, and the multiplicity not at all; h must satisfy
     2 <= h < k.  For q >= h+1 the bound is h*(q-h) + 1 (which is >= q);
-    for q <= h it is q.
+    for q <= h it is q.  Raises ConstraintViolation when ``rep`` is not a
+    valid record (``grading._check_record``).
     """
+    _check_record(rep)
     coeffs = rep.coeffs
     k = rep.order
     if coeffs[0] != 0:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from operator import ge
 from typing import Iterator
 
 from ._bitset import (
@@ -524,6 +525,23 @@ def support_size(S: NumericalSemigroup, s: int) -> SupportInfo:
     return SupportInfo(max(map(len, supports)), supports)
 
 
+def _check_record(rep: MaximalRepresentation) -> None:
+    """Raise ConstraintViolation unless ``rep`` is a record of the kind
+    ``maximal_representations`` makes: one non-negative coefficient per
+    generator, coefficients that sum to its order, and generators that
+    strictly ascend.  Its value is taken as given."""
+    gens, coeffs = rep.gens, rep.coeffs
+    if len(coeffs) != len(gens) or coeffs and min(coeffs) < 0:
+        raise ConstraintViolation("coefficients %r do not count %r" % (coeffs, gens))
+    total = sum(coeffs)
+    if total != rep.order:
+        raise ConstraintViolation(
+            "representation coefficients sum to %d, not its order %d" % (total, rep.order)
+        )
+    if any(map(ge, gens, gens[1:])):
+        raise ConstraintViolation("generators %r do not strictly ascend" % (gens,))
+
+
 def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     """Values of all sub-combinations of ``rep`` with coefficient sum h.
 
@@ -532,23 +550,16 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     counts that leave a number the smaller ones can take; the last two
     generators of the support then give an arithmetic progression of
     values, one per count of the larger.  Raises ConstraintViolation when
-    ``rep`` does not give one non-negative coefficient per generator, or
-    when they do not sum to its order; its value is taken as given.
+    ``rep`` is not a valid record (``_check_record``).
     """
     if h < 0 or h > rep.order:
         raise BadLevel("level %d not in [0, %d]" % (h, rep.order))
     if h == 0:
         return [0]
+    _check_record(rep)
     gens = tuple(compress(rep.gens, rep.coeffs))
     coeffs = [c for c in rep.coeffs if c]
     below = [0, *accumulate(coeffs)]  # below[i]: the coefficient sum of gens[:i]
-    if below[-1] != rep.order:
-        raise ConstraintViolation(
-            "representation coefficients sum to %d, not its order %d" % (below[-1], rep.order)
-        )
-    # ``coeffs`` sums to the order, at least h > 0, so it is not empty.
-    if len(rep.coeffs) != len(rep.gens) or min(coeffs) < 0:
-        raise ConstraintViolation("coefficients %r do not count %r" % (rep.coeffs, rep.gens))
     if len(gens) == 1:
         return [h * gens[0]]
     values: set[int] = set()

@@ -1,15 +1,12 @@
 """Classification searches for decreasing Hilbert functions.
 
-Three layers:
+Two layers:
 
 * residue admissibility — for a candidate pair with n_j = h * n_i modulo e,
   the nine products of degree <= 3 must occupy distinct nonzero residue
   classes, and the classes still missing from a full system must be covered
   by the five degree-4/5 products.  This reproduces the printed admissibility
   table row by row.
-
-* the ten-generator family at e = 13 — parameters (p, k, k', alpha, beta,
-  gamma) pin down a minimal generating set realizing a decrease at level 2.
 
 * bounded exhaustive search — instead of arbitrary generator sets, enumerate
   witness pairs (or triples) and the shapes of the Apery set they force.  A
@@ -54,16 +51,11 @@ from functools import cache
 from typing import Iterator
 
 from ._bitset import add_generator, bits_to_tuple, frobenius_window
-from .core import _WINDOW_BUDGET, NumericalSemigroup, build
-from .errors import (
-    BadRange,
-    ConstraintViolation,
-    InternalInconsistency,
-    ResourceLimit,
-)
+from .core import _WINDOW_BUDGET, NumericalSemigroup
+from .errors import BadRange, InternalInconsistency, ResourceLimit
 from .filtration import hilbert_function
 from .grading import OrderTable, _levels
-from .structure import _FOUR_ZERO, _OFFSET3, _Shape, check_offset3
+from .structure import _FOUR_ZERO, _OFFSET3, _Shape
 
 # concurrent.futures.ProcessPoolExecutor, imported by the first search that
 # runs more than one worker: its import tree (multiprocessing, pickle,
@@ -73,14 +65,10 @@ ProcessPoolExecutor = None
 __all__ = [
     "ResidueRow",
     "SearchConfig",
-    "SpParameters",
-    "construct_sp",
-    "recover_sp_parameters",
     "residue_admissible",
     "residue_table",
     "search_decreasing",
     "search_results_csv",
-    "sp_generator_list",
 ]
 
 
@@ -144,106 +132,6 @@ def residue_table(e: int) -> list[ResidueRow]:
     if e < 10:
         raise BadRange("the table is defined for e >= 10")
     return [residue_admissible(e, h) for h in range(4, e)]
-
-
-# -- the ten-generator family at e = 13 ---------------------------------------
-
-_SP_E = 13
-
-
-@dataclass(frozen=True)
-class SpParameters:
-    """Parameters of the minimal-multiplicity family.
-
-    n_i = 13k + p and n_j = 13k' + 4p; the constraints below are the
-    defining inequalities of the family.  Whether a parameter tuple really
-    yields a minimal generating set is checked a posteriori by construct_sp.
-    """
-
-    p: int
-    k: int
-    kprime: int
-    alpha: int
-    beta: int
-    gamma: int
-
-    def __post_init__(self):
-        if not 1 <= self.p <= 12:
-            raise ConstraintViolation("p must be in [1, 12]")
-        if self.k < 1:
-            raise ConstraintViolation("k must be at least 1")
-        if not -2 <= self.kprime <= 4 * self.k - 2:
-            raise ConstraintViolation("k' must be in [-2, 4k-2]")
-        if not 4 * self.kprime > 3 * self.k - self.p:
-            raise ConstraintViolation("need 4k' > 3k - p")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ConstraintViolation("alpha, beta, gamma must be non-negative")
-        if not (self.alpha < self.gamma and self.beta < self.gamma):
-            raise ConstraintViolation("need alpha < gamma and beta < gamma")
-
-    @property
-    def n_i(self) -> int:
-        return self.k * _SP_E + self.p
-
-    @property
-    def n_j(self) -> int:
-        return self.kprime * _SP_E + 4 * self.p
-
-
-def sp_generator_list(params: SpParameters) -> tuple[int, ...]:
-    """The family's ten generators: e, n_i, n_j, then the rest ascending."""
-    # SpParameters' constraints put n_i and n_j above 13 (n_j >= 16)
-    e, a, b = _SP_E, params.n_i, params.n_j
-    # the generators the v = e-3 shape forces beyond e, a and b, then one
-    # per class it leaves open
-    rest = [x - e for x in _OFFSET3.d2e(a, b)] + [
-        2 * a + 2 * b - params.alpha * e,
-        3 * a + b - params.beta * e,
-        3 * a + 2 * b - params.gamma * e,
-    ]
-    if min(rest) <= e:
-        raise ConstraintViolation("a derived generator falls below the multiplicity")
-    return (e, a, b) + tuple(sorted(rest))
-
-
-def construct_sp(params: SpParameters) -> NumericalSemigroup:
-    """Build and validate a family member.
-
-    build raises NonMinimal unless the ten values are distinct and minimal;
-    every value but the first, 13, lies above 13, so a member it returns has
-    e = 13 and v = 10.
-    """
-    return build(sp_generator_list(params))
-
-
-def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:
-    """Read the family parameters back off a semigroup, if it belongs."""
-    if S.e != _SP_E or S.v != 10:
-        return None
-    verdict = check_offset3(S)
-    if not verdict.pattern:
-        return None
-    ((a, b),) = verdict.witnesses
-    if b % 13 != (4 * a) % 13:
-        a, b = b, a
-    if b % 13 != (4 * a) % 13:
-        return None
-    p, k = a % 13, a // 13
-    kprime = (b - 4 * p) // 13
-    apery = S._ap_class
-
-    def drop(value: int) -> int:
-        lam = (value - apery[value % 13]) // 13
-        if lam < 1:
-            raise InternalInconsistency("no Apery element below %d in its class" % value)
-        return lam
-
-    try:
-        return SpParameters(
-            p, k, kprime, drop(2 * a + 2 * b), drop(3 * a + b), drop(3 * a + 2 * b)
-        )
-    except ConstraintViolation:
-        return None
 
 
 # -- bounded exhaustive search -------------------------------------------------

@@ -15,6 +15,14 @@ shapes of v = e-4 are the v = e-3 entry with one C_3 element kept as Ap_3.
 A two-generator shape {2a, a+b, 2b} is read directly off its least and
 largest element (``_pair``); only the |Ap_2| = 4 shapes try tuples of
 candidate roles.
+
+The ten-generator family at e = 13 instantiates the v = e-3 entry: its
+parameters (p, k, k', alpha, beta, gamma) set the roles n_i = 13k + p and
+n_j = 13k' + 4p, so n_j = 4 n_i modulo 13, and the three generators that
+fill the classes the shape leaves open.  ``construct_sp`` builds a member,
+and ``recover_sp_parameters`` reads the parameters back off the offset-3
+detector's witness pair; the aggregate report passes in the verdict it
+already holds, so the detector runs once per report.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, NamedTuple
 
-from .core import NumericalSemigroup
-from .errors import HypothesisFailed, InternalInconsistency
+from .core import NumericalSemigroup, build
+from .errors import ConstraintViolation, HypothesisFailed, InternalInconsistency
 from .filtration import hilbert_function, strata_tables
 from .grading import apery_strata
 
@@ -36,14 +44,18 @@ __all__ = [
     "PowerTailVerdict",
     "Offset3Verdict",
     "Offset4Verdict",
+    "SpParameters",
     "check_chain_structure",
     "check_offset3",
     "check_offset4",
     "check_power_apery_tail",
     "classification_report",
     "classify_c3",
+    "construct_sp",
     "is_symmetric",
     "match_ap2_size4_case",
+    "recover_sp_parameters",
+    "sp_generator_list",
 ]
 
 
@@ -504,6 +516,110 @@ def check_power_apery_tail(S: NumericalSemigroup) -> PowerTailVerdict:
     return PowerTailVerdict(True, r0, d, a if tail_ok else None, tail_ok, head_ok)
 
 
+# -- the ten-generator family at e = 13 ---------------------------------------
+
+_SP_E = 13
+
+
+@dataclass(frozen=True)
+class SpParameters:
+    """Parameters of the minimal-multiplicity family.
+
+    n_i = 13k + p and n_j = 13k' + 4p; the constraints below are the
+    defining inequalities of the family.  Whether a parameter tuple really
+    yields a minimal generating set is checked a posteriori by construct_sp.
+    """
+
+    p: int
+    k: int
+    kprime: int
+    alpha: int
+    beta: int
+    gamma: int
+
+    def __post_init__(self):
+        if not 1 <= self.p <= 12:
+            raise ConstraintViolation("p must be in [1, 12]")
+        if self.k < 1:
+            raise ConstraintViolation("k must be at least 1")
+        if not -2 <= self.kprime <= 4 * self.k - 2:
+            raise ConstraintViolation("k' must be in [-2, 4k-2]")
+        if not 4 * self.kprime > 3 * self.k - self.p:
+            raise ConstraintViolation("need 4k' > 3k - p")
+        if min(self.alpha, self.beta, self.gamma) < 0:
+            raise ConstraintViolation("alpha, beta, gamma must be non-negative")
+        if not (self.alpha < self.gamma and self.beta < self.gamma):
+            raise ConstraintViolation("need alpha < gamma and beta < gamma")
+
+    @property
+    def n_i(self) -> int:
+        return self.k * _SP_E + self.p
+
+    @property
+    def n_j(self) -> int:
+        return self.kprime * _SP_E + 4 * self.p
+
+
+def sp_generator_list(params: SpParameters) -> tuple[int, ...]:
+    """The family's ten generators: e, n_i, n_j, then the rest ascending."""
+    # SpParameters' constraints put n_i and n_j above 13 (n_j >= 16)
+    e, a, b = _SP_E, params.n_i, params.n_j
+    # the generators the v = e-3 shape forces beyond e, a and b, then one
+    # per class it leaves open
+    rest = [x - e for x in _OFFSET3.d2e(a, b)] + [
+        2 * a + 2 * b - params.alpha * e,
+        3 * a + b - params.beta * e,
+        3 * a + 2 * b - params.gamma * e,
+    ]
+    if min(rest) <= e:
+        raise ConstraintViolation("a derived generator falls below the multiplicity")
+    return (e, a, b) + tuple(sorted(rest))
+
+
+def construct_sp(params: SpParameters) -> NumericalSemigroup:
+    """Build and validate a family member.
+
+    build raises NonMinimal unless the ten values are distinct and minimal;
+    every value but the first, 13, lies above 13, so a member it returns has
+    e = 13 and v = 10.
+    """
+    return build(sp_generator_list(params))
+
+
+def _sp_parameters(S: NumericalSemigroup, verdict: Offset3Verdict) -> SpParameters | None:
+    """The family parameters of S, read off its offset-3 ``verdict``, or
+    None when S is no member.  A pattern implies v = e-3, so v = 10 here."""
+    if S.e != _SP_E or not verdict.pattern:
+        return None
+    ((a, b),) = verdict.witnesses
+    if b % 13 != (4 * a) % 13:
+        a, b = b, a
+    if b % 13 != (4 * a) % 13:
+        return None
+    p, k = a % 13, a // 13
+    kprime = (b - 4 * p) // 13
+    apery = S._ap_class
+
+    def drop(value: int) -> int:
+        lam = (value - apery[value % 13]) // 13
+        if lam < 1:
+            raise InternalInconsistency("no Apery element below %d in its class" % value)
+        return lam
+
+    try:
+        return SpParameters(
+            p, k, kprime, drop(2 * a + 2 * b), drop(3 * a + b), drop(3 * a + 2 * b)
+        )
+    except ConstraintViolation:
+        return None
+
+
+def recover_sp_parameters(S: NumericalSemigroup) -> SpParameters | None:
+    """Read the family parameters back off a semigroup, if it belongs; the
+    offset-3 detector runs only at e = 13."""
+    return _sp_parameters(S, check_offset3(S)) if S.e == _SP_E else None
+
+
 # -- aggregate report ---------------------------------------------------------
 
 
@@ -518,12 +634,10 @@ class ClassificationReport:
     offset4: Offset4Verdict
     chain: ChainReport
     power_tail: PowerTailVerdict
-    sp_params: "SpParameters | None"
+    sp_params: SpParameters | None
 
 
 def classification_report(S: NumericalSemigroup) -> ClassificationReport:
-    from .search import recover_sp_parameters
-
     strata = apery_strata(S)
     c3_pattern = None
     if strata.size(2) == 3:
@@ -531,13 +645,14 @@ def classification_report(S: NumericalSemigroup) -> ClassificationReport:
     ap24 = None
     if strata.size(2) == 4:
         ap24 = match_ap2_size4_case(S)
+    offset3 = check_offset3(S)
     return ClassificationReport(
         symmetric=is_symmetric(S),
         c3_pattern=c3_pattern,
         ap24_case=ap24,
-        offset3=check_offset3(S),
+        offset3=offset3,
         offset4=check_offset4(S),
         chain=check_chain_structure(S),
         power_tail=check_power_apery_tail(S),
-        sp_params=recover_sp_parameters(S),
+        sp_params=_sp_parameters(S, offset3),
     )

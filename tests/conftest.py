@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from numsem import build
 from numsem.corpus import random_corpus
-from numsem.search import SpParameters, construct_sp
+from numsem.structure import SpParameters, construct_sp
 
 import data
 

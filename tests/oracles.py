@@ -312,7 +312,7 @@ def sp_family_members(bound):
     ``construct_sp`` reject what is not a member.
     """
     from numsem import ConstraintViolation, NonMinimal, hilbert_function
-    from numsem.search import SpParameters, construct_sp
+    from numsem.structure import SpParameters, construct_sp
 
     def fits(x):
         return 13 < x <= bound

@@ -5,6 +5,7 @@ import pytest
 from numsem import (
     BadConfig,
     BetaCount,
+    ConstraintViolation,
     MaximalRepresentation,
     TwoGenConfig,
     beta_brute_force,
@@ -103,6 +104,14 @@ def test_support_count_bound_cases():
         support_count_bound(wide, 4)  # h must stay below the order
     with pytest.raises(BadConfig, match="at least one generator"):
         support_count_bound(rep_with((0, 0, 0, 0, 0), gens), 2)  # the rep of 0
+    # Hand-built records that are not one non-negative coefficient per
+    # generator; unchecked, each would read as q = 2, bound 2.
+    for rep in (
+        MaximalRepresentation((13, 19, 24), (0, -1, 4), 77, 3),
+        MaximalRepresentation((13, 19), (0, 2, 1), 38, 3),
+    ):
+        with pytest.raises(ConstraintViolation, match="do not count"):
+            support_count_bound(rep, 2)
 
 
 def test_support_count_bound_on_real_tables(study_instances):

@@ -95,8 +95,9 @@ def test_induced_elements(e13):
 
 def test_induced_elements_above_the_coefficient_sum():
     """A hand-built representation whose coefficients do not sum to its
-    order, or are not one non-negative count per generator, is refused, not
-    read as having no sub-combination or one of the wrong size."""
+    order, are not one non-negative count per generator, or whose generators
+    do not strictly ascend, is refused, not read as having no
+    sub-combination, one of the wrong size, or a short list."""
     rep = MaximalRepresentation((3, 5), (1, 0), 3, 2)
     with pytest.raises(ConstraintViolation, match="sum to 1, not its order 2"):
         induced_elements(rep, 2)
@@ -106,6 +107,14 @@ def test_induced_elements_above_the_coefficient_sum():
     ):
         with pytest.raises(ConstraintViolation, match="do not count"):
             induced_elements(rep, 2)
+    # Unchecked, (5, 3) read in the given order would give [5] at h = 1, not
+    # [3, 5], and the repeated generator 3 a zero step and a bare ValueError.
+    for rep in (
+        MaximalRepresentation((5, 3), (1, 1), 8, 2),
+        MaximalRepresentation((3, 3), (1, 1), 6, 2),
+    ):
+        with pytest.raises(ConstraintViolation, match="do not strictly ascend"):
+            induced_elements(rep, 1)
 
 
 def test_apery_strata_reference(e13):

@@ -32,7 +32,7 @@ from numsem import (
     sp_generator_list,
     strata_tables,
 )
-from numsem import grading, search
+from numsem import grading, search, structure
 from numsem._bitset import add_generator, largest_missing
 from numsem.structure import _FOUR_ZERO, _OFFSET3
 
@@ -163,7 +163,7 @@ def test_sp_recovery_rejects_witness_pairs_outside_the_family(monkeypatch, e13, 
     both, so the detector's verdict on E13 is replaced by one naming the pair."""
     verdict = check_offset3(e13)
     monkeypatch.setattr(
-        search, "check_offset3", lambda S: dataclasses.replace(verdict, witnesses=(pair,))
+        structure, "check_offset3", lambda S: dataclasses.replace(verdict, witnesses=(pair,))
     )
     assert recover_sp_parameters(e13) is None
 

@@ -18,6 +18,7 @@ from numsem import (
     hilbert_function,
     is_symmetric,
     match_ap2_size4_case,
+    recover_sp_parameters,
     strata_tables,
 )
 from numsem import structure
@@ -278,6 +279,33 @@ def test_classification_report_shape(e13):
     assert report.c3_pattern.pair == (19, 24)
     assert not report.offset4.applicable and not report.offset4.holds
     assert report.sp_params is not None and report.sp_params.p == 6
+
+
+def test_report_recovers_the_family_parameters(property_corpus, sp_instances):
+    """The report reads the family's parameters off the offset-3 verdict it
+    already holds, and they are those ``recover_sp_parameters`` reads; the
+    property corpus holds every family member."""
+    members = 0
+    for S in property_corpus:
+        params = classification_report(S).sp_params
+        assert params == recover_sp_parameters(S), S.gens
+        members += params is not None
+    assert members >= len(sp_instances) == 12
+
+
+def test_report_runs_the_offset3_detector_once(monkeypatch, sp_instances):
+    calls = []
+    real = structure.check_offset3
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(structure, "check_offset3", counted)
+    for S in sp_instances:
+        calls.clear()
+        assert classification_report(S).sp_params is not None
+        assert calls == [S]
 
 
 def _wide_ap24(e):
