@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadConfig
-from .grading import _check_record
 
 __all__ = [
     "BetaCount",
@@ -104,10 +103,10 @@ def support_count_bound(rep, h: int) -> int:
     The representation must use q >= 1 non-multiplicity generators, each with
     positive coefficient, and the multiplicity not at all; h must satisfy
     2 <= h < k.  For q >= h+1 the bound is h*(q-h) + 1 (which is >= q);
-    for q <= h it is q.  Raises ConstraintViolation when ``rep`` is not a
-    valid record (``grading._check_record``).
+    for q <= h it is q.  ``rep`` is not checked here: a
+    MaximalRepresentation holds the record rule from when it is made.
+    Raises BadConfig unless h is an int (not a bool).
     """
-    _check_record(rep)
     coeffs = rep.coeffs
     k = rep.order
     if coeffs[0] != 0:
@@ -115,6 +114,8 @@ def support_count_bound(rep, h: int) -> int:
     q = sum(1 for c in coeffs[1:] if c)
     if q == 0:
         raise BadConfig("representation must use at least one generator")
+    if not isinstance(h, int) or isinstance(h, bool):
+        raise BadConfig("level h %r is not an integer" % (h,))
     if not 2 <= h < k:
         raise BadConfig("level h must satisfy 2 <= h < k")
     if q >= h + 1:

@@ -46,7 +46,9 @@ class HypothesisFailed(SemigroupError):
 
 
 class ConstraintViolation(SemigroupError):
-    """Family parameters, or a hand-built record, violate their defining constraints."""
+    """Family parameters violate their defining constraints, or a
+    MaximalRepresentation built by hand breaks the record rule; a record is
+    checked once, when it is made, not when it is read."""
 
 
 class InternalInconsistency(SemigroupError):

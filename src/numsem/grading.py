@@ -426,13 +426,19 @@ class MaximalRepresentation:
     """A generator combination of maximal coefficient sum.
 
     ``coeffs`` aligns with ``gens`` (ascending); the coefficient sum equals
-    the order of ``value``.
+    the order of ``value``.  A record built by hand, or by
+    ``dataclasses.replace``, is checked once, when it is made, by
+    ``_check_record``; those of ``maximal_representations`` hold the rule
+    by construction.  The reads trust every record they are given.
     """
 
     gens: tuple[int, ...]
     coeffs: tuple[int, ...]
     value: int
     order: int
+
+    def __post_init__(self):
+        _check_record(self)
 
     def support(self) -> tuple[int, ...]:
         """Generators used, including the multiplicity when it appears."""
@@ -495,9 +501,23 @@ def maximal_representations(
     that leave a remainder the smaller generators can make with the
     coefficients left; the counts of e and gens[1] then follow from one
     division.  Raises NotMember when s is not in S.
+
+    The records skip the check a hand-built one gets, since each holds the
+    rule by construction: ``gens`` is ``S.gens``, validated and strictly
+    ascending; the descent gives one non-negative count per generator; and
+    the counts sum to ``cnt = ord(s)``.
     """
     k, found = _maximal_coeffs(S, s)
-    return [MaximalRepresentation(S.gens, c, s, k) for c in found]
+    return [_record(S.gens, c, s, k) for c in found]
+
+
+def _record(
+    gens: tuple[int, ...], coeffs: tuple[int, ...], value: int, order: int
+) -> MaximalRepresentation:
+    """A MaximalRepresentation made without ``__post_init__``'s check."""
+    rep = object.__new__(MaximalRepresentation)
+    rep.__dict__.update(gens=gens, coeffs=coeffs, value=value, order=order)
+    return rep
 
 
 @dataclass(frozen=True)
@@ -529,7 +549,8 @@ def _check_record(rep: MaximalRepresentation) -> None:
     """Raise ConstraintViolation unless ``rep`` is a record of the kind
     ``maximal_representations`` makes: one non-negative coefficient per
     generator, coefficients that sum to its order, and generators that
-    strictly ascend.  Its value is taken as given."""
+    strictly ascend.  Its value is taken as given.  It runs once per record,
+    when a record is built other than by ``maximal_representations``."""
     gens, coeffs = rep.gens, rep.coeffs
     if len(coeffs) != len(gens) or coeffs and min(coeffs) < 0:
         raise ConstraintViolation("coefficients %r do not count %r" % (coeffs, gens))
@@ -549,19 +570,28 @@ def induced_elements(rep: MaximalRepresentation, h: int) -> list[int]:
     the support of ``rep``, from its largest generator down, and only the
     counts that leave a number the smaller ones can take; the last two
     generators of the support then give an arithmetic progression of
-    values, one per count of the larger.  Raises ConstraintViolation when
-    ``rep`` is not a valid record (``_check_record``).
+    values, one per count of the larger, and a two-generator support is
+    that one progression.  ``rep`` is not checked here: a record holds the
+    rule from when it is made (``MaximalRepresentation``).  Raises BadLevel
+    unless h is an int (not a bool) in [0, ord].
     """
+    if not isinstance(h, int) or isinstance(h, bool):
+        raise BadLevel("level %r is not an integer" % (h,))
     if h < 0 or h > rep.order:
         raise BadLevel("level %d not in [0, %d]" % (h, rep.order))
     if h == 0:
         return [0]
-    _check_record(rep)
     gens = tuple(compress(rep.gens, rep.coeffs))
     coeffs = [c for c in rep.coeffs if c]
-    below = [0, *accumulate(coeffs)]  # below[i]: the coefficient sum of gens[:i]
     if len(gens) == 1:
         return [h * gens[0]]
+    if len(gens) == 2:
+        # t copies of gens[1] and h - t of gens[0]; gens[0] < gens[1].
+        step = gens[1] - gens[0]
+        base = h * gens[0]
+        low, top = max(0, h - coeffs[0]), min(coeffs[1], h)
+        return list(range(base + low * step, base + top * step + 1, step))
+    below = [0, *accumulate(coeffs)]  # below[i]: the coefficient sum of gens[:i]
     values: set[int] = set()
 
     def descend(idx: int, left: int, acc: int) -> None:

@@ -105,13 +105,15 @@ def test_support_count_bound_cases():
     with pytest.raises(BadConfig, match="at least one generator"):
         support_count_bound(rep_with((0, 0, 0, 0, 0), gens), 2)  # the rep of 0
     # Hand-built records that are not one non-negative coefficient per
-    # generator; unchecked, each would read as q = 2, bound 2.
-    for rep in (
-        MaximalRepresentation((13, 19, 24), (0, -1, 4), 77, 3),
-        MaximalRepresentation((13, 19), (0, 2, 1), 38, 3),
-    ):
+    # generator are refused when they are made; unchecked, each would read
+    # as q = 2, bound 2.
+    for gens, coeffs, value in (((13, 19, 24), (0, -1, 4), 77), ((13, 19), (0, 2, 1), 38)):
         with pytest.raises(ConstraintViolation, match="do not count"):
-            support_count_bound(rep, 2)
+            MaximalRepresentation(gens, coeffs, value, 3)
+    # A level that is not an int, or is a bool, is refused: 2.0 gave 2.
+    for rep, h in ((MaximalRepresentation((3, 5, 7), (0, 2, 2), 24, 4), 2.0), (three, 3.0), (wide, True)):
+        with pytest.raises(BadConfig, match="not an integer"):
+            support_count_bound(rep, h)
 
 
 def test_support_count_bound_on_real_tables(study_instances):

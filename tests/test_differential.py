@@ -262,7 +262,7 @@ def two_generator_semigroups(draw):
 def test_representation_reads_match_oracles(S):
     """maximal_representations, support_size and induced_elements against
     the brute-force oracles, on every member s <= f + 3e and every level
-    0 <= h <= ord(s)."""
+    0 <= h <= ord(s); every record passes the check it skipped when made."""
     gens = list(S.gens)
     for s in range(S.f + 3 * S.e + 1):
         if not S.contains(s):
@@ -277,6 +277,7 @@ def test_representation_reads_match_oracles(S):
         info = support_size(S, s)
         assert (info.size, info.per_rep_supports) == (max(map(len, supports)), supports), s
         for rep in reps:
+            grading._check_record(rep)  # valid by construction, unchecked when made
             for h in range(k + 1):
                 assert induced_elements(rep, h) == oracles.induced_values(
                     gens, rep.coeffs, h

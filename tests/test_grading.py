@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from numsem import (
@@ -91,30 +93,48 @@ def test_induced_elements(e13):
         induced_elements(rep, 6)
     with pytest.raises(BadLevel):
         induced_elements(rep, -1)
+    # A level that is not an int, or is a bool, is refused, not read as a
+    # level: 1.5 gave [7.5] on <3, 5>, and True read as level 1.
+    rep10 = maximal_representations(build([3, 5]), 10)[0]
+    for h in (1.5, 2.0, True, False):
+        with pytest.raises(BadLevel, match="not an integer"):
+            induced_elements(rep10, h)
+    with pytest.raises(BadLevel, match="not an integer"):
+        induced_elements(rep, 3.0)
+
+
+def test_induced_elements_of_a_two_generator_support(e13):
+    """The record of 105 in e13 (v = 10) uses only 19, three times, and 24,
+    twice: its induced elements are one progression.  h = 3 is past the
+    count of 24 (fewer than h copies of it), h = 4 also past the count of 19
+    (at least one copy of 24)."""
+    rep = maximal_representations(e13, 105)[0]
+    assert e13.v >= 4 and rep.support() == (19, 24) and rep.coeffs[1:3] == (3, 2)
+    want = {0: [0], 1: [19, 24], 2: [38, 43, 48], 3: [57, 62, 67], 4: [81, 86], 5: [105]}
+    for h in range(rep.order + 1):
+        got = induced_elements(rep, h)
+        assert got == want[h] == oracles.induced_values(rep.gens, rep.coeffs, h), h
 
 
 def test_induced_elements_above_the_coefficient_sum():
     """A hand-built representation whose coefficients do not sum to its
     order, are not one non-negative count per generator, or whose generators
-    do not strictly ascend, is refused, not read as having no
-    sub-combination, one of the wrong size, or a short list."""
-    rep = MaximalRepresentation((3, 5), (1, 0), 3, 2)
+    do not strictly ascend, is refused when it is made, not read as having
+    no sub-combination, one of the wrong size, or a short list."""
     with pytest.raises(ConstraintViolation, match="sum to 1, not its order 2"):
-        induced_elements(rep, 2)
-    for rep in (
-        MaximalRepresentation((3, 5), (0, 2, 1), 13, 3),
-        MaximalRepresentation((3, 5), (-1, 4), 17, 3),
-    ):
+        MaximalRepresentation((3, 5), (1, 0), 3, 2)
+    # dataclasses.replace builds through the same check.
+    rep = maximal_representations(build([3, 5]), 10)[0]
+    with pytest.raises(ConstraintViolation, match="sum to 3, not its order 2"):
+        dataclasses.replace(rep, coeffs=(1, 2))
+    for coeffs, value in (((0, 2, 1), 13), ((-1, 4), 17)):
         with pytest.raises(ConstraintViolation, match="do not count"):
-            induced_elements(rep, 2)
+            MaximalRepresentation((3, 5), coeffs, value, 3)
     # Unchecked, (5, 3) read in the given order would give [5] at h = 1, not
     # [3, 5], and the repeated generator 3 a zero step and a bare ValueError.
-    for rep in (
-        MaximalRepresentation((5, 3), (1, 1), 8, 2),
-        MaximalRepresentation((3, 3), (1, 1), 6, 2),
-    ):
+    for gens, value in (((5, 3), 8), ((3, 3), 6)):
         with pytest.raises(ConstraintViolation, match="do not strictly ascend"):
-            induced_elements(rep, 1)
+            MaximalRepresentation(gens, (1, 1), value, 2)
 
 
 def test_apery_strata_reference(e13):
